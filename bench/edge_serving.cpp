@@ -37,6 +37,7 @@
 #include "core/queueing.hpp"
 #include "dataflow/analyzer.hpp"
 #include "nn/mlp.hpp"
+#include "nn/plan.hpp"
 #include "nn/zoo.hpp"
 #include "serving/load_gen.hpp"
 #include "serving/server.hpp"
@@ -46,22 +47,24 @@ namespace {
 
 using namespace trident;
 
-/// Mean per-request service time of `model` on one warm replica (weights
-/// programmed once, then `iters` single-row batched forwards — exactly the
-/// runtime's batch-1 service path).
+/// Mean per-request service time of `model` on one warm replica: `iters`
+/// single-row runs of the compiled plan through a warm arena — the forward
+/// a replica serves a batch of one with (ServerConfig::use_plan).
 [[nodiscard]] double calibrate_service_s(const nn::Mlp& model,
                                          const core::PhotonicBackendConfig& cfg,
                                          int iters) {
   core::PhotonicBackend backend(cfg);
+  const nn::ExecutionPlan plan(model);
+  nn::PlanArena arena;
   Rng rng(0xCA1Bu);
-  nn::Matrix x(1, static_cast<std::size_t>(model.layer_sizes().front()));
+  nn::Matrix x(1, plan.input_dim());
   for (double& v : x.data()) {
     v = rng.uniform(-1.0, 1.0);
   }
-  (void)model.forward_batch(x, backend);  // warm: program the banks
+  (void)plan.run(backend, x, arena);  // warm: program the banks, size arena
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < iters; ++i) {
-    (void)model.forward_batch(x, backend);
+    (void)plan.run(backend, x, arena);
   }
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(t1 - t0).count() / iters;

@@ -618,6 +618,44 @@ void BM_MlpForwardPlanQuantized(benchmark::State& state) {
 }
 BENCHMARK(BM_MlpForwardPlanQuantized)->Arg(1)->Arg(32);
 
+void BM_PlanForwardPhotonicLarge(benchmark::State& state) {
+  // The exact-tier serving forward of the {512, 1024, 512, 10} model (8.4 MB
+  // of packed panels) at serving batch sizes.  MACs is a rate; bytes is
+  // what one call must move at least: every packed panel once, plus each
+  // layer's input and output block.
+  Rng rng(0x1A63u);
+  const nn::Mlp model({512, 1024, 512, 10}, nn::Activation::kGstPhotonic, rng);
+  core::PhotonicBackend backend;
+  const auto plan = nn::ExecutionPlan::compile(model);
+  nn::PlanArena arena;
+  const auto batch = static_cast<std::size_t>(state.range(0));
+  const nn::Matrix x = plan_bench_input(model, batch);
+  double macs = 0.0;
+  double bytes = 0.0;
+  for (int k = 0; k < plan->depth(); ++k) {
+    const nn::PlanLayer& layer = plan->layer(k);
+    const double padded_rows = static_cast<double>((layer.rows + 7) / 8 * 8);
+    macs += static_cast<double>(batch * layer.rows * layer.cols);
+    bytes += 8.0 * (padded_rows * static_cast<double>(layer.cols) +
+                    static_cast<double>(batch * (layer.rows + layer.cols)));
+  }
+  for (auto _ : state) {
+    const nn::Matrix& y = plan->run(backend, x, arena);
+    benchmark::DoNotOptimize(y.data().data());
+  }
+  state.counters["MACs"] = benchmark::Counter(
+      macs, benchmark::Counter::kIsIterationInvariantRate);
+  state.counters["bytes"] = bytes;
+}
+BENCHMARK(BM_PlanForwardPhotonicLarge)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_PlanCompile(benchmark::State& state) {
   // The cost hot_swap / canary_start pay per publication (off the serving
   // path); documented in docs/performance.md.

@@ -255,13 +255,10 @@ nn::Matrix PhotonicBackend::matmul(const nn::Matrix& w, const nn::Matrix& x) {
     }
   }
 
-  // Saturate the stored weights once per block instead of once per MAC.
-  nn::Matrix clamped = w;
-  for (double& v : clamped.data()) {
-    v = std::clamp(v, -1.0, 1.0);
-  }
-
-  nn::Matrix y = clamped.matmul(xq);
+  // Saturate and pack the stored weights once per block instead of
+  // clamping once per MAC — the same panel a compiled plan holds.
+  nn::Matrix y(batch, w.rows());
+  nn::PackedPanel(w).matmul_into(xq, y);
   // Read-out noise and TIA re-scaling, in the same draw order as a loop of
   // matvec calls (per sample, then per row).
   for (std::size_t b = 0; b < batch; ++b) {
@@ -317,9 +314,9 @@ bool PhotonicBackend::run_plan(const nn::ExecutionPlan& plan,
     const bool last = (k == depth - 1);
     nn::Matrix& y = last ? arena.out() : arena.act(k);
     y.reshape(batch, layer.rows);
-    // The pre-clamped panel replaces the fresh saturated copy matmul makes
-    // per call — same values, no allocation.
-    layer.clamped.matmul_into(xq, y);
+    // The plan's packed panel replaces the one matmul packs per call —
+    // same kernel, same bits, no allocation.
+    layer.packed.matmul_into(xq, y);
     // Read-out noise and TIA re-scaling, in the same draw order as matmul
     // (per sample, then per row).
     for (std::size_t b = 0; b < batch; ++b) {

@@ -91,9 +91,9 @@ class PhotonicBackend final : public nn::MatvecBackend {
                     const nn::Vector& y_prev, double lr) override;
 
   /// Batched forward: quantizes the whole input block in one pass, charges
-  /// the ledger once per block, and runs the blocked GEMM kernel.  Outputs,
-  /// noise draws, and ledger counters are bit-identical to a loop of
-  /// per-sample matvec calls.
+  /// the ledger once per block, packs the saturated weights into an
+  /// nn::PackedPanel and runs its kernel.  Outputs, noise draws, and ledger
+  /// counters are bit-identical to a loop of per-sample matvec calls.
   [[nodiscard]] nn::Matrix matmul(const nn::Matrix& w,
                                   const nn::Matrix& x) override;
   /// Batched gradient-vector pass, loop-equivalent to matvec_transposed per
@@ -106,11 +106,12 @@ class PhotonicBackend final : public nn::MatvecBackend {
   // defined BY the per-sample order.
 
   /// Fused plan execution: per layer, programs the plan's own weight panel,
-  /// quantizes the block into the arena, multiplies against the pre-clamped
-  /// panel, then applies noise/re-scale and the activation epilogue in
-  /// place.  Outputs, RNG draws, and ledger counters are bit-identical to
-  /// Mlp::forward_batch through matmul; the per-call clamped weight copy is
-  /// the only work removed.  Zero steady-state heap allocation.
+  /// quantizes the block into the arena, multiplies through the plan's
+  /// packed panel (the kernel matmul runs), then applies noise/re-scale and
+  /// the activation epilogue in place.  Outputs, RNG draws, and ledger
+  /// counters are bit-identical to Mlp::forward_batch through matmul; the
+  /// per-call packing is the only work removed.  Zero steady-state heap
+  /// allocation.
   bool run_plan(const nn::ExecutionPlan& plan, const nn::Matrix& x,
                 nn::PlanArena& arena) override;
 

@@ -1,10 +1,11 @@
 #include "nn/matrix.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <utility>
 
 #include "parallel/thread_pool.hpp"
 #include "telemetry/metrics.hpp"
@@ -12,38 +13,117 @@
 
 namespace trident::nn {
 
-// The batched kernels below carry GCC/Clang function multiversioning: the
-// loops are compiled once per ISA (AVX-512, AVX2, baseline SSE2) and the
-// best clone is picked at load time, so one binary runs everywhere but uses
-// the wide units where they exist.  Together with -ffp-contract=off (set on
-// this file by CMake) every clone performs the identical sequence of IEEE
-// multiplies and adds — vector width changes which lanes run together, never
-// what any one sample's accumulation chain computes.
+// The batched kernels run on three ISA tiers: AVX-512, AVX2, and the
+// baseline this file is compiled for (SSE2 unless -march says more).  Each
+// tier is a separate function compiled with target(...) and picked once at
+// run time by __builtin_cpu_supports, so one binary runs everywhere but
+// uses the wide units where they exist.  Every tier works in its own
+// register width: GCC keeps a vector wider than the target's registers on
+// the stack and moves it through halves on every iteration, which is
+// slower than the scalar loop.  Together with
+// -ffp-contract=off (set on this file by CMake) every tier performs the
+// identical sequence of IEEE multiplies and adds — vector width changes
+// which lanes run together, never what any one accumulation chain computes.
+// The chain-free kernels (transposed GEMM, outer-product update) vectorise
+// on their own and keep GCC/Clang function multiversioning instead.
 // ThreadSanitizer runs its interceptors before the dynamic loader resolves
 // ifuncs; the target_clones resolver then faults inside libtsan.  Sanitized
 // builds therefore compile the baseline kernel only — the maths is identical
 // (see above), only the vector width changes.
 // TRIDENT_NO_KERNEL_CLONES (the -DTRIDENT_SIMD=OFF build) additionally
 // forces the baseline-only fallback so CI can prove the maths does not
-// depend on the multiversioned clones.
+// depend on the wide tiers.
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
     !defined(__SANITIZE_THREAD__) && !defined(TRIDENT_NO_KERNEL_CLONES)
+#define TRIDENT_KERNEL_TIERS 1
 #define TRIDENT_KERNEL_CLONES \
   __attribute__((target_clones("avx512f", "avx2", "default")))
 #else
 #define TRIDENT_KERNEL_CLONES
 #endif
 
-// GNU vector extension: an 8-lane double vector compiled down to whatever
-// the enclosing clone's ISA provides (one zmm op on AVX-512, four SSE2 ops
-// on baseline).  Lanes are independent multiply-then-add — lowering width
-// never changes any lane's result.
-#if defined(__GNUC__) || defined(__clang__)
-#define TRIDENT_HAVE_VECTOR_EXT 1
-using v8df = double __attribute__((vector_size(64), aligned(64)));
+namespace {
+
+// GNU vector extension: each lane is an independent multiply-then-add
+// chain, so lowering the width never changes any lane's result.
+using v8df = double __attribute__((vector_size(64)));
+using v4df = double __attribute__((vector_size(32)));
+using v2df = double __attribute__((vector_size(16)));
+
+template <class V>
+constexpr std::size_t kLanes = sizeof(V) / sizeof(double);
+
+// The baseline tier takes the widest vector this file's own flags provide,
+// so a -march build keeps its full width with the runtime tiers off.
+#if defined(__AVX512F__)
+using vbase = v8df;
+constexpr std::size_t kBaseRegs = 32;
+#elif defined(__AVX__)
+using vbase = v4df;
+constexpr std::size_t kBaseRegs = 16;
+#else
+using vbase = v2df;
+constexpr std::size_t kBaseRegs = 16;
 #endif
 
-namespace {
+enum class Tier { kBaseline, kAvx2, kAvx512 };
+
+/// ISA tier this machine runs.  GCC's ifunc resolver (the target_clones
+/// kernels) and __builtin_cpu_supports consult the same CPUID feature
+/// words, so every kernel of one process runs on the same tier.
+[[nodiscard]] Tier kernel_tier() {
+#ifdef TRIDENT_KERNEL_TIERS
+  static const Tier tier = __builtin_cpu_supports("avx512f") ? Tier::kAvx512
+                           : __builtin_cpu_supports("avx2")  ? Tier::kAvx2
+                                                             : Tier::kBaseline;
+  return tier;
+#else
+  return Tier::kBaseline;
+#endif
+}
+
+[[nodiscard]] const char* kernel_isa() {
+  switch (kernel_tier()) {
+    case Tier::kAvx512:
+      return "avx512f";
+    case Tier::kAvx2:
+      return "avx2";
+    case Tier::kBaseline:
+      break;
+  }
+  return "baseline";
+}
+
+/// Runs Kernel::run<V, R>(args...) on this machine's tier, V its vector
+/// type and R its vector register count.  Kernel::run is always_inline, so
+/// its body is compiled at the ISA of the tier function it lands in.
+#ifdef TRIDENT_KERNEL_TIERS
+template <class Kernel, class... Args>
+__attribute__((target("avx512f"))) void run_avx512(Args... args) {
+  Kernel::template run<v8df, 32>(args...);
+}
+template <class Kernel, class... Args>
+__attribute__((target("avx2"))) void run_avx2(Args... args) {
+  Kernel::template run<v4df, 16>(args...);
+}
+#endif
+
+template <class Kernel, class... Args>
+void run_on_tier(Args... args) {
+#ifdef TRIDENT_KERNEL_TIERS
+  switch (kernel_tier()) {
+    case Tier::kAvx512:
+      run_avx512<Kernel>(args...);
+      return;
+    case Tier::kAvx2:
+      run_avx2<Kernel>(args...);
+      return;
+    case Tier::kBaseline:
+      break;
+  }
+#endif
+  Kernel::template run<vbase, kBaseRegs>(args...);
+}
 
 /// Samples per wide microkernel panel: one independent accumulation chain
 /// per sample lets the compiler vectorise across the batch without
@@ -67,97 +147,196 @@ constexpr std::size_t kColBlock = 256;
 /// Computes output rows [b0, b0+MB) of y = x·Wᵀ.  Samples are packed into a
 /// column-major panel so the inner loop is a stride-1 multiply-add across
 /// the MB independent chains; each sample still accumulates in strict
-/// column order.  always_inline so the body vectorises at the ISA of the
-/// TRIDENT_KERNEL_CLONES wrapper it is inlined into.
+/// column order.  Explicit vectors keep the compiler from vectorising the
+/// fan-in loop instead (which would need in-order reductions and serialise
+/// every add).  Each lane is one sample's chain, accumulated in strict
+/// column order — exactly the scalar kernel's arithmetic.
 template <std::size_t MB>
-[[gnu::always_inline]] inline void matmul_panel(const double* wdata,
-                                                std::size_t rows,
-                                                std::size_t cols,
-                                                const double* xdata,
-                                                double* ydata,
-                                                std::size_t b0) {
-#ifdef TRIDENT_HAVE_VECTOR_EXT
-  // Explicit 8-lane vectors keep the compiler from vectorising the fan-in
-  // loop instead (which would need in-order reductions and serialise every
-  // add).  Each lane is one sample's chain, accumulated in strict column
-  // order — exactly the scalar kernel's arithmetic.
-  static_assert(MB % 8 == 0);
-  constexpr std::size_t kNV = MB / 8;
-  v8df panel[kColBlock * kNV];
-  double* const pd = reinterpret_cast<double*>(panel);
-  for (std::size_t c0 = 0; c0 < cols; c0 += kColBlock) {
-    const std::size_t kc = std::min(kColBlock, cols - c0);
-    for (std::size_t m = 0; m < MB; ++m) {
-      const double* xr = xdata + (b0 + m) * cols + c0;
-      for (std::size_t c = 0; c < kc; ++c) {
-        pd[c * MB + m] = xr[c];
-      }
-    }
-    for (std::size_t r = 0; r < rows; ++r) {
-      const double* w = wdata + r * cols + c0;
-      alignas(64) double lanes[MB];
+struct MatmulPanel {
+  template <class V, std::size_t R>
+  [[gnu::always_inline]] static void run(const double* wdata,
+                                         std::size_t rows, std::size_t cols,
+                                         const double* xdata, double* ydata,
+                                         std::size_t b0) {
+    constexpr std::size_t kNV = MB / kLanes<V>;
+    static_assert(kNV + 2 <= R, "accumulators must stay in registers");
+    V panel[kColBlock * kNV];
+    double* const pd = reinterpret_cast<double*>(panel);
+    for (std::size_t c0 = 0; c0 < cols; c0 += kColBlock) {
+      const std::size_t kc = std::min(kColBlock, cols - c0);
       for (std::size_t m = 0; m < MB; ++m) {
-        lanes[m] = ydata[(b0 + m) * rows + r];
-      }
-      v8df acc[kNV];
-      __builtin_memcpy(acc, lanes, sizeof(lanes));
-      for (std::size_t c = 0; c < kc; ++c) {
-        const double wc = w[c];
-        const v8df* px = panel + c * kNV;
-        for (std::size_t v = 0; v < kNV; ++v) {
-          acc[v] += wc * px[v];
+        const double* xr = xdata + (b0 + m) * cols + c0;
+        for (std::size_t c = 0; c < kc; ++c) {
+          pd[c * MB + m] = xr[c];
         }
       }
-      __builtin_memcpy(lanes, acc, sizeof(lanes));
-      for (std::size_t m = 0; m < MB; ++m) {
-        ydata[(b0 + m) * rows + r] = lanes[m];
-      }
-    }
-  }
-#else
-  std::array<double, kColBlock * MB> panel;
-  for (std::size_t c0 = 0; c0 < cols; c0 += kColBlock) {
-    const std::size_t kc = std::min(kColBlock, cols - c0);
-    for (std::size_t m = 0; m < MB; ++m) {
-      const double* xr = xdata + (b0 + m) * cols + c0;
-      for (std::size_t c = 0; c < kc; ++c) {
-        panel[c * MB + m] = xr[c];
-      }
-    }
-    for (std::size_t r = 0; r < rows; ++r) {
-      const double* w = wdata + r * cols + c0;
-      std::array<double, MB> acc;
-      for (std::size_t m = 0; m < MB; ++m) {
-        acc[m] = ydata[(b0 + m) * rows + r];
-      }
-      for (std::size_t c = 0; c < kc; ++c) {
-        const double wc = w[c];
-        const double* px = panel.data() + c * MB;
+      for (std::size_t r = 0; r < rows; ++r) {
+        const double* w = wdata + r * cols + c0;
+        alignas(64) double lanes[MB];
         for (std::size_t m = 0; m < MB; ++m) {
-          acc[m] += wc * px[m];
+          lanes[m] = ydata[(b0 + m) * rows + r];
         }
-      }
-      for (std::size_t m = 0; m < MB; ++m) {
-        ydata[(b0 + m) * rows + r] = acc[m];
+        V acc[kNV];
+        __builtin_memcpy(acc, lanes, sizeof(lanes));
+        for (std::size_t c = 0; c < kc; ++c) {
+          const double wc = w[c];
+          const V* px = panel + c * kNV;
+          for (std::size_t v = 0; v < kNV; ++v) {
+            acc[v] += wc * px[v];
+          }
+        }
+        __builtin_memcpy(lanes, acc, sizeof(lanes));
+        for (std::size_t m = 0; m < MB; ++m) {
+          ydata[(b0 + m) * rows + r] = lanes[m];
+        }
       }
     }
   }
-#endif
+};
+
+// --- packed-panel kernel ----------------------------------------------------
+//
+// A tile is RP row groups (8 rows each) × NB samples: RP·(8/lanes)·NB
+// vector accumulators, each lane one (row, sample) chain.  Per column the
+// tile loads RP packed blocks and broadcasts NB input values, so every
+// weight byte fetched feeds NB chains and every input value feeds 8·RP.
+// On AVX-512 that is 3 groups × 8 samples for full blocks, and up to 8
+// groups for the narrow remainders serving batches mostly are.
+
+/// Row groups per tile for NB samples on a tier with `regs` vector
+/// registers: the most (up to 8) whose accumulators, RP·vg weight vectors
+/// and two temporaries fit the register file.  The weights stay live across
+/// the sample loop and each broadcast is used at once; a tile that
+/// overflows spills accumulators through the stack on every column.  0
+/// means no such tile.
+constexpr std::size_t tile_groups(std::size_t vg, std::size_t regs,
+                                  std::size_t nb) {
+  std::size_t best = 0;
+  for (std::size_t rp = 1; rp <= 8; ++rp) {
+    if (rp * vg * (nb + 1) + 2 <= regs) {
+      best = rp;
+    }
+  }
+  return best;
 }
 
-TRIDENT_KERNEL_CLONES
-void matmul_block_wide(const double* wdata, std::size_t rows,
-                       std::size_t cols, const double* xdata, double* ydata,
-                       std::size_t b0) {
-  matmul_panel<kBatchBlock>(wdata, rows, cols, xdata, ydata, b0);
+/// Widest sample tile a tier supports (8 on AVX-512, 6 on AVX2, 2 on SSE2).
+constexpr std::size_t max_tile_samples(std::size_t vg, std::size_t regs) {
+  std::size_t best = 1;
+  for (std::size_t nb = 1; nb <= 8; ++nb) {
+    if (tile_groups(vg, regs, nb) > 0) {
+      best = nb;
+    }
+  }
+  return best;
 }
 
-TRIDENT_KERNEL_CLONES
-void matmul_block_small(const double* wdata, std::size_t rows,
-                        std::size_t cols, const double* xdata, double* ydata,
-                        std::size_t b0) {
-  matmul_panel<kBatchBlockSmall>(wdata, rows, cols, xdata, ydata, b0);
+/// Rows per group, and so doubles per packed block (one column of a group).
+constexpr std::size_t kGroupRows = 8;
+
+/// `p` advanced to the next 64-byte boundary (p is at least 8-aligned).
+template <class T>
+[[nodiscard]] T* cache_line_start(T* p) {
+  const auto misalign = reinterpret_cast<std::uintptr_t>(p) % 64;
+  return p + (64 - misalign) % 64 / sizeof(double);
 }
+
+/// Geometry every tile of one call shares.
+struct PanelArgs {
+  const double* blocks;
+  std::size_t rows;
+  std::size_t cols;
+  const double* x;  ///< batch × cols, row-major
+  double* y;        ///< batch × rows, row-major
+};
+
+/// y[b0 .. b0+NB) for row groups [g0, g0+RP): the register-blocked tile.
+template <class V, std::size_t RP, std::size_t NB>
+[[gnu::always_inline]] inline void packed_tile(const PanelArgs& a,
+                                               std::size_t g0,
+                                               std::size_t b0) {
+  constexpr std::size_t kL = kLanes<V>;
+  constexpr std::size_t kVG = kGroupRows / kL;  // vectors per row group
+  const std::size_t cols = a.cols;
+  const double* const panel = a.blocks + g0 * cols * kGroupRows;
+  const double* const x = a.x + b0 * cols;
+  V acc[RP * kVG][NB] = {};  // +0.0, the start of matvec's chain
+  for (std::size_t c = 0; c < cols; ++c) {
+    V w[RP * kVG];
+#pragma GCC unroll 32
+    for (std::size_t i = 0; i < RP * kVG; ++i) {
+      __builtin_memcpy(&w[i],
+                       panel + (i / kVG * cols + c) * kGroupRows + i % kVG * kL,
+                       sizeof(V));
+    }
+#pragma GCC unroll 8
+    for (std::size_t s = 0; s < NB; ++s) {
+      const double xs = x[s * cols + c];
+#pragma GCC unroll 32
+      for (std::size_t i = 0; i < RP * kVG; ++i) {
+        acc[i][s] += w[i] * xs;
+      }
+    }
+  }
+  for (std::size_t p = 0; p < RP; ++p) {
+    for (std::size_t v = 0; v < kVG; ++v) {
+      const std::size_t r0 = (g0 + p) * kGroupRows + v * kL;
+      for (std::size_t s = 0; s < NB; ++s) {
+        double* yr = a.y + (b0 + s) * a.rows;
+        if (r0 + kL <= a.rows) {
+          __builtin_memcpy(yr + r0, &acc[p * kVG + v][s], sizeof(V));
+        } else {
+          for (std::size_t i = 0; r0 + i < a.rows; ++i) {
+            yr[r0 + i] = acc[p * kVG + v][s][i];
+          }
+        }
+      }
+    }
+  }
+}
+
+/// Every row group for samples [b0, b0+NB): RP-group tiles, then the
+/// leftover groups with halving tile heights.
+template <class V, std::size_t RP, std::size_t NB>
+[[gnu::always_inline]] inline void packed_sweep(const PanelArgs& a,
+                                                std::size_t g0,
+                                                std::size_t b0) {
+  const std::size_t groups = (a.rows + kGroupRows - 1) / kGroupRows;
+  for (; g0 + RP <= groups; g0 += RP) {
+    packed_tile<V, RP, NB>(a, g0, b0);
+  }
+  if constexpr (RP > 1) {
+    packed_sweep<V, RP / 2, NB>(a, g0, b0);
+  }
+}
+
+/// Samples [b0, b0+n), n ≤ kBatchBlock, in tiles of the tier's widest
+/// sample count and one tile for the remainder.
+struct PackedSamples {
+  template <class V, std::size_t R>
+  [[gnu::always_inline]] static void run(PanelArgs a, std::size_t b0,
+                                         std::size_t n) {
+    constexpr std::size_t kVG = kGroupRows / kLanes<V>;
+    constexpr std::size_t kMaxNB = max_tile_samples(kVG, R);
+    while (n > 0) {
+      const std::size_t nb = std::min(n, kMaxNB);
+      dispatch<V, R>(a, b0, nb, std::make_index_sequence<kMaxNB>{});
+      b0 += nb;
+      n -= nb;
+    }
+  }
+
+  template <class V, std::size_t R, std::size_t... I>
+  [[gnu::always_inline]] static void dispatch(const PanelArgs& a,
+                                              std::size_t b0, std::size_t nb,
+                                              std::index_sequence<I...>) {
+    constexpr std::size_t kVG = kGroupRows / kLanes<V>;
+    ((nb == I + 1
+          ? packed_sweep<V, tile_groups(kVG, R, I + 1), I + 1>(a, 0, b0)
+          : void()),
+     ...);
+  }
+};
 
 /// Transposed-GEMM block: samples [b0, b0+mb).  Each sample owns its output
 /// row (y[c] += w[c]·xr has no cross-column chain), so the column loop
@@ -193,25 +372,9 @@ void add_outer_row(double* w, const double* adata, const double* bdata,
   }
 }
 
-/// ISA tier the target_clones resolver picks on this machine.  GCC's ifunc
-/// resolver and __builtin_cpu_supports consult the same CPUID feature words,
-/// so this names the clone that actually runs.
-[[nodiscard]] const char* kernel_isa() {
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    !defined(__SANITIZE_THREAD__) && !defined(TRIDENT_NO_KERNEL_CLONES)
-  if (__builtin_cpu_supports("avx512f")) {
-    return "avx512f";
-  }
-  if (__builtin_cpu_supports("avx2")) {
-    return "avx2";
-  }
-#endif
-  return "baseline";
-}
-
 /// Batched-kernel metrics.  The dispatch counter is suffixed with the ISA
-/// picked at load time so a metrics snapshot records which clone produced
-/// the numbers (the simple registry has no label support).
+/// tier picked at load time so a metrics snapshot records which tier
+/// produced the numbers (the simple registry has no label support).
 struct GemmMetrics {
   telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
   telemetry::Counter& dispatch = reg.counter(
@@ -246,6 +409,14 @@ struct GemmMetrics {
 [[nodiscard]] double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
+}
+
+/// Books one y = x·Wᵀ call (either layout) started at `t0`.
+void note_matmul(std::chrono::steady_clock::time_point t0) {
+  GemmMetrics& m = gemm_metrics();
+  m.dispatch.add(1);
+  m.matmul_calls.add(1);
+  m.matmul_seconds.observe(seconds_since(t0));
 }
 
 }  // namespace
@@ -309,23 +480,37 @@ void Matrix::matmul_into(const Matrix& x, Matrix& y) const {
   parallel_for(
       0, full_blocks,
       [&](std::size_t blk) {
-        matmul_block_wide(data_.data(), rows_, cols_, x.data().data(),
-                          y.data().data(), blk * kBatchBlock);
+        run_on_tier<MatmulPanel<kBatchBlock>>(data_.data(), rows_, cols_,
+                                              x.data().data(), y.data().data(),
+                                              blk * kBatchBlock);
       },
       grain_for(rows_ * cols_ * kBatchBlock));
 
   // Tail: one half-width panel if at least 8 samples remain, then the
-  // per-sample kernel for the rest.
+  // per-sample kernel for the rest.  It runs four rows' chains side by
+  // side, so their adds overlap instead of each waiting on the last.
   std::size_t b = full_blocks * kBatchBlock;
   if (batch - b >= kBatchBlockSmall) {
-    matmul_block_small(data_.data(), rows_, cols_, x.data().data(),
-                       y.data().data(), b);
+    run_on_tier<MatmulPanel<kBatchBlockSmall>>(data_.data(), rows_, cols_,
+                                               x.data().data(),
+                                               y.data().data(), b);
     b += kBatchBlockSmall;
   }
   for (; b < batch; ++b) {
     const double* xr = x.data().data() + b * cols_;
     double* yr = y.data().data() + b * rows_;
-    for (std::size_t r = 0; r < rows_; ++r) {
+    std::size_t r = 0;
+    for (; r + 4 <= rows_; r += 4) {
+      const double* w = data_.data() + r * cols_;
+      double acc[4] = {0.0, 0.0, 0.0, 0.0};
+      for (std::size_t c = 0; c < cols_; ++c) {
+        for (std::size_t i = 0; i < 4; ++i) {
+          acc[i] += w[i * cols_ + c] * xr[c];
+        }
+      }
+      std::copy(acc, acc + 4, yr + r);
+    }
+    for (; r < rows_; ++r) {
       const double* w = data_.data() + r * cols_;
       double acc = 0.0;
       for (std::size_t c = 0; c < cols_; ++c) {
@@ -335,10 +520,55 @@ void Matrix::matmul_into(const Matrix& x, Matrix& y) const {
     }
   }
   if (telem) {
-    GemmMetrics& m = gemm_metrics();
-    m.dispatch.add(1);
-    m.matmul_calls.add(1);
-    m.matmul_seconds.observe(seconds_since(t0));
+    note_matmul(t0);
+  }
+}
+
+PackedPanel::PackedPanel(const Matrix& w)
+    : rows_(w.rows()),
+      cols_(w.cols()),
+      data_((rows_ + kGroupRows - 1) / kGroupRows * cols_ * kGroupRows +
+            kGroupRows - 1) {
+  double* const blocks = cache_line_start(data_.data());
+  for (std::size_t r = 0; r < rows_; ++r) {
+    const auto row = w.row(r);
+    double* group = blocks + r / kGroupRows * cols_ * kGroupRows;
+    for (std::size_t c = 0; c < cols_; ++c) {
+      group[c * kGroupRows + r % kGroupRows] = std::clamp(row[c], -1.0, 1.0);
+    }
+  }
+}
+
+const double* PackedPanel::blocks() const {
+  return cache_line_start(data_.data());
+}
+
+void PackedPanel::matmul_into(const Matrix& x, Matrix& y) const {
+  TRIDENT_REQUIRE(x.cols() == cols_, "packed matmul dimension mismatch");
+  TRIDENT_REQUIRE(y.rows() == x.rows() && y.cols() == rows_,
+                  "packed matmul output shape mismatch");
+  const bool telem = telemetry::enabled();
+  std::chrono::steady_clock::time_point t0;
+  if (telem) {
+    t0 = std::chrono::steady_clock::now();
+  }
+  const PanelArgs args{blocks(), rows_, cols_, x.data().data(),
+                       y.data().data()};
+  const std::size_t batch = x.rows();
+  const std::size_t full_blocks = batch / kBatchBlock;
+  // Pool dispatch over the same 16-sample blocks and grain as
+  // Matrix::matmul_into, so a serving batch of 16 or fewer runs inline.
+  parallel_for(
+      0, full_blocks,
+      [&](std::size_t blk) {
+        run_on_tier<PackedSamples>(args, blk * kBatchBlock, kBatchBlock);
+      },
+      grain_for(rows_ * cols_ * kBatchBlock));
+  if (const std::size_t b = full_blocks * kBatchBlock; b < batch) {
+    run_on_tier<PackedSamples>(args, b, batch - b);
+  }
+  if (telem) {
+    note_matmul(t0);
   }
 }
 

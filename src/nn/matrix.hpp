@@ -114,6 +114,38 @@ class Matrix {
   std::vector<double> data_;
 };
 
+/// The photonic tier's weight panel: a matrix saturated to [-1, 1] (the
+/// range a GST cell holds) and packed once for streaming, the software
+/// analogue of weights that stay in the bank while inputs stream past.
+/// Rows are interleaved in groups of 8 across the columns: block
+/// (g, c) holds column c of rows 8g..8g+7 in one 64-byte line, and a final
+/// partial group is padded with zero rows.  Immutable after construction.
+class PackedPanel {
+ public:
+  PackedPanel() = default;
+  /// Packs `w` with every element clamped to [-1, 1].
+  explicit PackedPanel(const Matrix& w);
+
+  [[nodiscard]] std::size_t rows() const { return rows_; }
+  [[nodiscard]] std::size_t cols() const { return cols_; }
+
+  /// Y = X·Sᵀ, S the saturated weights: x is (batch × cols), y must be
+  /// (x.rows() × rows()).  Row b is bit-identical to S.matvec(x.row(b)) on
+  /// every ISA tier: each (row, sample) output is one chain accumulated in
+  /// strict column order with a separate multiply and add.
+  void matmul_into(const Matrix& x, Matrix& y) const;
+
+ private:
+  /// The first block, on a 64-byte boundary inside data_.
+  [[nodiscard]] const double* blocks() const;
+
+  std::size_t rows_ = 0;
+  std::size_t cols_ = 0;
+  /// Blocks of 8 doubles, group-major then column, after up to 7 doubles
+  /// of slack that put the first block on a cache line.
+  std::vector<double> data_;
+};
+
 /// Element-wise (Hadamard) product.
 [[nodiscard]] Vector hadamard(const Vector& a, const Vector& b);
 

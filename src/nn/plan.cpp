@@ -85,12 +85,9 @@ ExecutionPlan::ExecutionPlan(const Mlp& model, const PlanConfig& config)
     layer.cols = layer.weights.cols();
     layer.activation =
         (k == depth - 1) ? Activation::kIdentity : model.hidden_activation();
-    // Photonic panel: the saturation legacy matmul applies to a fresh copy
-    // per call, done once here.
-    layer.clamped = layer.weights;
-    for (double& v : layer.clamped.data()) {
-      v = std::clamp(v, -1.0, 1.0);
-    }
+    // Photonic panel: the saturated packing legacy matmul makes per call,
+    // done once here.
+    layer.packed = PackedPanel(layer.weights);
     // Quantized panel: same packing as QuantizedBackend::plan_for
     // (to_level saturates outside [-1, 1], which doubles as the clamp).
     layer.levels.resize(layer.weights.size());

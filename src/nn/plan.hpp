@@ -9,10 +9,10 @@
 //     layer (hidden activation for k < depth-1, identity for the output —
 //     the LDSU firing pattern);
 //   * pre-packed weight panels: the double panel (the exact tier), the
-//     [-1, 1]-saturated panel the photonic tier multiplies with (legacy
-//     matmul re-clamps a fresh copy per call), and the int8 level panel
-//     the quantized tier streams through int8_gemm (legacy re-fingerprints
-//     the weight buffer on every lookup);
+//     [-1, 1]-saturated PackedPanel the photonic tier streams (legacy
+//     matmul saturates and packs a fresh one per call), and the int8 level
+//     panel the quantized tier streams through int8_gemm (legacy
+//     re-fingerprints the weight buffer on every lookup);
 //   * arena extents, so a PlanArena sized once at adoption serves every
 //     later batch with zero steady-state heap allocation.
 //
@@ -49,7 +49,7 @@ struct PlanConfig {
 /// One compiled layer: the schedule entry plus every pre-packed panel.
 struct PlanLayer {
   Matrix weights;                   ///< exact double panel (rows × cols)
-  Matrix clamped;                   ///< weights saturated to [-1, 1]
+  PackedPanel packed;               ///< weights saturated and packed
   std::vector<std::int8_t> levels;  ///< int8 level panel on the weight grid
   Activation activation = Activation::kIdentity;  ///< fused epilogue
   std::size_t rows = 0;

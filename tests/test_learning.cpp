@@ -302,6 +302,7 @@ TEST_P(FeedbackFuzz, CloseAndDiscardRaceKeepsBooksBalanced) {
 
   constexpr int kProducers = 3;
   constexpr int kPerProducer = 300;
+  std::atomic<int> producers_done{0};
   std::vector<std::thread> threads;
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&, p] {
@@ -312,6 +313,7 @@ TEST_P(FeedbackFuzz, CloseAndDiscardRaceKeepsBooksBalanced) {
           std::this_thread::yield();
         }
       }
+      producers_done.fetch_add(1);
     });
   }
   std::thread popper([&] {
@@ -321,8 +323,11 @@ TEST_P(FeedbackFuzz, CloseAndDiscardRaceKeepsBooksBalanced) {
       }
     }
   });
+  // Usually fires while producers still push; when most pushes are dropped
+  // at admission the popper may never consume 64, so the closer also stops
+  // waiting once every producer has finished.
   std::thread closer([&] {
-    while (q.consumed() < 64) {
+    while (q.consumed() < 64 && producers_done.load() < kProducers) {
       std::this_thread::yield();
     }
     (void)q.close_and_discard();

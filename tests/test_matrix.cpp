@@ -249,6 +249,57 @@ TEST(MatrixGemm, IntoVariantsReuseBuffers) {
   EXPECT_EQ(yb.data(), yb_ref.data());
 }
 
+// --- packed photonic panel --------------------------------------------------
+
+TEST(PackedPanel, EveryTileAndRemainderBitIdenticalToSaturatedMatvec) {
+  // Rows cover a partial group, exact groups and leftover groups after the
+  // tallest tiles (70 = 8 + 1 groups, which also crosses the pool-dispatch
+  // threshold at B ≥ 32); fan-in covers 1, odd and past 256; B = 1..33
+  // covers every sample tile and remainder on every ISA tier.  Weights
+  // reach ±2, so the packing saturation is exercised; outputs compare
+  // with ==, not a tolerance.
+  Rng rng(0x9AC4u);
+  for (const std::size_t rows : {1u, 7u, 8u, 9u, 10u, 25u, 70u}) {
+    for (const std::size_t cols : {1u, 3u, 257u}) {
+      Matrix w(rows, cols);
+      for (double& v : w.data()) {
+        v = rng.uniform(-2.0, 2.0);
+      }
+      Matrix saturated = w;
+      for (double& v : saturated.data()) {
+        v = std::clamp(v, -1.0, 1.0);
+      }
+      const PackedPanel panel(w);
+      ASSERT_EQ(panel.rows(), rows);
+      ASSERT_EQ(panel.cols(), cols);
+      Vector xb(cols);
+      for (std::size_t batch = 1; batch <= 33; ++batch) {
+        const Matrix x = random_matrix(batch, cols, rng);
+        Matrix y(batch, rows);
+        panel.matmul_into(x, y);
+        for (std::size_t b = 0; b < batch; ++b) {
+          const auto row = x.row(b);
+          std::copy(row.begin(), row.end(), xb.begin());
+          const Vector want = saturated.matvec(xb);
+          for (std::size_t r = 0; r < rows; ++r) {
+            ASSERT_EQ(y.at(b, r), want[r])
+                << rows << "x" << cols << " B=" << batch << " sample " << b
+                << " row " << r;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(PackedPanel, ShapeMismatchThrows) {
+  const PackedPanel panel(Matrix(3, 4));
+  Matrix y(2, 3);
+  EXPECT_THROW(panel.matmul_into(Matrix(2, 5), y), Error);
+  Matrix wrong(2, 4);
+  EXPECT_THROW(panel.matmul_into(Matrix(2, 4), wrong), Error);
+}
+
 TEST(VectorOps, HadamardInto) {
   Vector out{2.0, 0.5, 0.0};
   hadamard_into({1.0, -2.0, 3.0}, out);
