@@ -19,8 +19,10 @@
 #include "common/rng.hpp"
 #include "nn/int8_gemm.hpp"
 #include "dataflow/analyzer.hpp"
+#include "nn/dataset.hpp"
 #include "nn/mlp.hpp"
 #include "nn/plan.hpp"
+#include "nn/train.hpp"
 #include "nn/zoo.hpp"
 #include "parallel/thread_pool.hpp"
 #include "state/snapshot.hpp"
@@ -335,18 +337,85 @@ void BM_WeightBankApplyBatch(benchmark::State& state) {
 BENCHMARK(BM_WeightBankApplyBatch)->ArgsProduct({{8, 16}, {8, 32}});
 
 void BM_PhotonicBackendRank1(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
+  // The in-situ update at rows × cols, cycling through 16 seeded (dh, y)
+  // pairs so levels keep moving; with one constant pair no level moves
+  // after the first call.  128×64, 64×128 and 1024×512 are served shapes.
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto cols = static_cast<std::size_t>(state.range(1));
   core::PhotonicBackend backend;
   Rng rng(3);
-  nn::Matrix w = nn::Matrix::xavier(n, n, rng);
-  nn::Vector dh(n, 0.05), y(n, 0.4);
+  nn::Matrix w = nn::Matrix::xavier(rows, cols, rng);
+  std::vector<nn::Vector> dhs(16, nn::Vector(rows));
+  std::vector<nn::Vector> ys(16, nn::Vector(cols));
+  for (std::size_t i = 0; i < dhs.size(); ++i) {
+    for (double& v : dhs[i]) {
+      v = rng.uniform(-0.5, 0.5);
+    }
+    for (double& v : ys[i]) {
+      v = rng.uniform(-1.0, 1.0);
+    }
+  }
+  std::size_t i = 0;
   for (auto _ : state) {
-    backend.rank1_update(w, dh, y, 0.05);
+    backend.rank1_update(w, dhs[i % dhs.size()], ys[i % ys.size()], 0.05);
+    benchmark::DoNotOptimize(w.data().data());
+    benchmark::ClobberMemory();
+    ++i;
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(n * n));
+                          static_cast<std::int64_t>(rows * cols));
 }
-BENCHMARK(BM_PhotonicBackendRank1)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_PhotonicBackendRank1)
+    ->Args({16, 16})
+    ->Args({64, 64})
+    ->Args({256, 256})
+    ->Args({128, 64})
+    ->Args({64, 128})
+    ->Args({1024, 512});
+
+void BM_TrainPulsePhotonic(benchmark::State& state) {
+  // One learn_canary-sized training pulse: a batch-1 nn::fit of 576
+  // samples on {64, 128, 64, 10} through the photonic tier, from the same
+  // starting weights every iteration.
+  Rng rng(0x9015u);
+  const nn::Mlp start({64, 128, 64, 10}, nn::Activation::kGstPhotonic, rng);
+  const nn::Dataset pulse = nn::pattern_classes(576, 10, 64, 0.05, rng);
+  nn::TrainConfig tc;
+  tc.epochs = 1;
+  tc.learning_rate = 0.05;
+  for (auto _ : state) {
+    nn::Mlp net = start;
+    core::PhotonicBackend backend;
+    benchmark::DoNotOptimize(nn::fit(net, pulse, tc, backend));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(pulse.size()));
+}
+BENCHMARK(BM_TrainPulsePhotonic)->Unit(benchmark::kMillisecond);
+
+void BM_DacQuantize(benchmark::State& state) {
+  // The modulator DAC pass of one 16-sample block of width n: per-sample
+  // scale, then the 8-bit level of every element.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kBatch = 16;
+  const SymmetricQuantizer grid(8, 1.0);
+  Rng rng(0xDACu);
+  nn::Matrix x(kBatch, n);
+  for (double& v : x.data()) {
+    v = rng.uniform(-2.0, 2.0);
+  }
+  nn::Vector scale(kBatch);
+  nn::Matrix q(kBatch, n);
+  for (auto _ : state) {
+    nn::dac_quantize(x.data().data(), kBatch, n, grid, scale.data(),
+                     q.data().data());
+    benchmark::DoNotOptimize(q.data().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kBatch * n));
+}
+BENCHMARK(BM_DacQuantize)->Arg(64)->Arg(512)->Arg(1024);
 
 void BM_AnalyzeModel(benchmark::State& state) {
   const auto models = nn::zoo::evaluation_models();

@@ -19,6 +19,19 @@
 
 namespace trident {
 
+/// Nearest integer to `u`, ties away from zero: truncate, then step one
+/// level away from zero when the dropped fraction is at least ½.  `u - t`
+/// is exact (it only clears the integer bits), so for |u| < 2³¹ this is
+/// std::lround bit for bit, without the libm call.  NaN maps to 0 before
+/// the conversion, so no NaN is ever converted.  The vector kernels in
+/// nn/matrix.cpp compute the same rule lane by lane.
+[[nodiscard]] inline int round_half_away(double u) {
+  const double v = u == u ? u : 0.0;
+  const int t = static_cast<int>(v);
+  const double f = v - static_cast<double>(t);
+  return t + static_cast<int>(f >= 0.5) - static_cast<int>(f <= -0.5);
+}
+
 /// A symmetric uniform quantizer over [-range, +range] with `bits` of
 /// resolution: 2^bits - 1 levels, level 0 at the midpoint, zero exactly
 /// representable.  With bits = 8 this matches the paper's 255-level GST cell.
@@ -40,10 +53,9 @@ class SymmetricQuantizer {
   [[nodiscard]] double range() const { return range_; }
 
   /// Signed level index in [-half_steps, +half_steps]; values outside
-  /// [-range, range] saturate.
+  /// [-range, range] saturate and NaN lands on level 0.
   [[nodiscard]] int to_level(double x) const {
-    const double clamped = std::clamp(x, -range_, range_);
-    return static_cast<int>(std::lround(clamped / step_));
+    return round_half_away(std::clamp(x, -range_, range_) / step_);
   }
 
   /// Reconstruction value of a level index.
@@ -139,8 +151,7 @@ class UnsignedQuantizer {
   [[nodiscard]] double step() const { return step_; }
 
   [[nodiscard]] int to_level(double x) const {
-    const double clamped = std::clamp(x, 0.0, range_);
-    return static_cast<int>(std::lround(clamped / step_));
+    return round_half_away(std::clamp(x, 0.0, range_) / step_);
   }
   [[nodiscard]] double from_level(int level) const {
     TRIDENT_REQUIRE(level >= 0 && level <= levels_, "level index out of range");

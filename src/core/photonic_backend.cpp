@@ -175,20 +175,15 @@ void PhotonicBackend::ensure_programmed(const nn::Matrix& w) {
   resident_matrix_ = static_cast<const void*>(&w);
 }
 
-double PhotonicBackend::quantize_weight(double v, double scale) {
-  const double unit = std::clamp(v / scale, -1.0, 1.0);
-  if (!config_.stochastic_rounding) {
-    return weight_quantizer_.quantize(unit) * scale;
-  }
-  // Stochastic rounding: round up with probability equal to the fractional
-  // position between the two neighbouring levels (unbiased dither).
+double PhotonicBackend::stochastic_level(double v) {
+  // Round up with probability equal to the fractional position between the
+  // two neighbouring levels (unbiased dither).
   const double step = weight_quantizer_.step();
-  const double scaled = unit / step;
+  const double scaled = std::clamp(v, -1.0, 1.0) / step;
   const double floor_level = std::floor(scaled);
   const double frac = scaled - floor_level;
   const double level = rng_.bernoulli(frac) ? floor_level + 1.0 : floor_level;
-  const double q = std::clamp(level * step, -1.0, 1.0);
-  return q * scale;
+  return std::clamp(level * step, -1.0, 1.0);
 }
 
 nn::Vector PhotonicBackend::matvec(const nn::Matrix& w, const nn::Vector& x) {
@@ -199,13 +194,9 @@ nn::Vector PhotonicBackend::matvec(const nn::Matrix& w, const nn::Vector& x) {
   // vector is electronically pre-scaled into range and the scale re-applied
   // at the TIA.
   double x_scale = 1.0;
-  for (double v : x) {
-    x_scale = std::max(x_scale, std::abs(v));
-  }
   nn::Vector xq(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    xq[i] = input_quantizer_.quantize(x[i] / x_scale);
-  }
+  nn::dac_quantize(x.data(), 1, x.size(), input_quantizer_, &x_scale,
+                   xq.data());
 
   nn::Vector y(w.rows(), 0.0);
   for (std::size_t r = 0; r < w.rows(); ++r) {
@@ -240,20 +231,10 @@ nn::Matrix PhotonicBackend::matmul(const nn::Matrix& w, const nn::Matrix& x) {
   const std::size_t batch = x.rows();
 
   // One pass over the block: per-sample DAC range scale, then quantize.
-  nn::Vector scale(batch, 1.0);
+  nn::Vector scale(batch);
   nn::Matrix xq(batch, w.cols());
-  for (std::size_t b = 0; b < batch; ++b) {
-    const auto row = x.row(b);
-    double s = 1.0;
-    for (double v : row) {
-      s = std::max(s, std::abs(v));
-    }
-    scale[b] = s;
-    auto q = xq.row(b);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      q[c] = input_quantizer_.quantize(row[c] / s);
-    }
-  }
+  nn::dac_quantize(x.data().data(), batch, w.cols(), input_quantizer_,
+                   scale.data(), xq.data().data());
 
   // Saturate and pack the stored weights once per block instead of
   // clamping once per MAC — the same panel a compiled plan holds.
@@ -298,18 +279,8 @@ bool PhotonicBackend::run_plan(const nn::ExecutionPlan& plan,
 
     // Input DAC, same pass as matmul but into arena scratch.
     xq.reshape(batch, layer.cols);
-    for (std::size_t b = 0; b < batch; ++b) {
-      const auto row = cur->row(b);
-      double s = 1.0;
-      for (double v : row) {
-        s = std::max(s, std::abs(v));
-      }
-      scale[b] = s;
-      auto q = xq.row(b);
-      for (std::size_t c = 0; c < row.size(); ++c) {
-        q[c] = input_quantizer_.quantize(row[c] / s);
-      }
-    }
+    nn::dac_quantize(cur->data().data(), batch, layer.cols, input_quantizer_,
+                     scale.data(), xq.data().data());
 
     const bool last = (k == depth - 1);
     nn::Matrix& y = last ? arena.out() : arena.act(k);
@@ -367,20 +338,10 @@ nn::Matrix PhotonicBackend::matmul_transposed(const nn::Matrix& w,
   }
   resident_matrix_ = nullptr;
 
-  nn::Vector scale(batch, 1.0);
+  nn::Vector scale(batch);
   nn::Matrix xq(batch, w.rows());
-  for (std::size_t b = 0; b < batch; ++b) {
-    const auto row = x.row(b);
-    double s = 1.0;
-    for (double v : row) {
-      s = std::max(s, std::abs(v));
-    }
-    scale[b] = s;
-    auto q = xq.row(b);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      q[c] = input_quantizer_.quantize(row[c] / s);
-    }
-  }
+  nn::dac_quantize(x.data().data(), batch, w.rows(), input_quantizer_,
+                   scale.data(), xq.data().data());
 
   nn::Matrix clamped = w;
   for (double& v : clamped.data()) {
@@ -421,13 +382,9 @@ nn::Vector PhotonicBackend::matvec_transposed(const nn::Matrix& w,
   resident_matrix_ = nullptr;  // bank no longer holds the forward layout
 
   double x_scale = 1.0;
-  for (double v : x) {
-    x_scale = std::max(x_scale, std::abs(v));
-  }
   nn::Vector xq(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    xq[i] = input_quantizer_.quantize(x[i] / x_scale);
-  }
+  nn::dac_quantize(x.data(), 1, x.size(), input_quantizer_, &x_scale,
+                   xq.data());
 
   nn::Vector y(w.cols(), 0.0);
   for (std::size_t r = 0; r < w.rows(); ++r) {
@@ -468,14 +425,19 @@ void PhotonicBackend::rank1_update(nn::Matrix& w, const nn::Vector& dh,
   // there is no float master copy in the hardware, so updates below half an
   // LSB are simply lost (the 8-vs-6-bit training cliff).
   std::uint64_t changed = 0;
-  for (std::size_t r = 0; r < w.rows(); ++r) {
-    auto row = w.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      const double target = row[c] - lr * dh[r] * y_prev[c];
-      const double quantized = quantize_weight(target, 1.0);
-      if (quantized != row[c]) {
-        row[c] = quantized;
-        ++changed;
+  if (!config_.stochastic_rounding) {
+    changed = nn::rank1_update_levels(w, dh, y_prev, lr, weight_quantizer_);
+  } else {
+    // One dither draw per cell, in row-major order.
+    for (std::size_t r = 0; r < w.rows(); ++r) {
+      auto row = w.row(r);
+      for (std::size_t c = 0; c < row.size(); ++c) {
+        const double quantized =
+            stochastic_level(row[c] - lr * dh[r] * y_prev[c]);
+        if (quantized != row[c]) {
+          row[c] = quantized;
+          ++changed;
+        }
       }
     }
   }

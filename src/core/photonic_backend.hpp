@@ -147,8 +147,9 @@ class PhotonicBackend final : public nn::MatvecBackend {
  private:
   /// Charges programming for `w` unless it is still resident.
   void ensure_programmed(const nn::Matrix& w);
-  /// Quantizes a value to the stored-weight grid at scale `scale`.
-  [[nodiscard]] double quantize_weight(double v, double scale);
+  /// Stochastically rounds a value onto the stored-weight grid (one RNG
+  /// draw).
+  [[nodiscard]] double stochastic_level(double v);
 
   PhotonicBackendConfig config_;
   SymmetricQuantizer weight_quantizer_;

@@ -155,19 +155,10 @@ nn::Matrix QuantizedBackend::matmul(const nn::Matrix& w, const nn::Matrix& x) {
   const std::size_t cols = w.cols();
 
   // Per-sample DAC scale, then one int8 quantization pass over the block.
-  std::vector<double> scale(batch, 1.0);
+  std::vector<double> scale(batch);
   std::vector<std::int8_t> xq(batch * cols);
-  std::vector<double> scaled(cols);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const auto row = x.row(b);
-    const double s = dac_scale(row);
-    scale[b] = s;
-    for (std::size_t c = 0; c < cols; ++c) {
-      scaled[c] = row[c] / s;
-    }
-    input_quantizer_.to_levels(
-        scaled, std::span<std::int8_t>(xq.data() + b * cols, cols));
-  }
+  nn::dac_quantize(x.data().data(), batch, cols, input_quantizer_,
+                   scale.data(), xq.data());
 
   std::vector<std::int32_t> acc(batch * rows);
   nn::int8_gemm(plan.levels.data(), rows, cols, xq.data(), batch, acc.data());
@@ -205,7 +196,6 @@ bool QuantizedBackend::run_plan(const nn::ExecutionPlan& plan,
   const double unit = weight_quantizer_.step() * input_quantizer_.step();
   const nn::Matrix* cur = &x;
   nn::Vector& scale = arena.scale();
-  nn::Vector& scaled = arena.scratch();
   std::vector<std::int8_t>& xq = arena.int8_input();
   std::vector<std::int32_t>& acc = arena.int32_acc();
   for (int k = 0; k < depth; ++k) {
@@ -216,17 +206,8 @@ bool QuantizedBackend::run_plan(const nn::ExecutionPlan& plan,
                     "layer fan-in too large for exact int32 accumulation");
     ensure_programmed(layer.weights);
 
-    for (std::size_t b = 0; b < batch; ++b) {
-      const auto row = cur->row(b);
-      const double s = dac_scale(row);
-      scale[b] = s;
-      for (std::size_t c = 0; c < cols; ++c) {
-        scaled[c] = row[c] / s;
-      }
-      input_quantizer_.to_levels(
-          std::span<const double>(scaled.data(), cols),
-          std::span<std::int8_t>(xq.data() + b * cols, cols));
-    }
+    nn::dac_quantize(cur->data().data(), batch, cols, input_quantizer_,
+                     scale.data(), xq.data());
 
     // The plan's immutable panel replaces plan_for: no per-call content
     // fingerprint, because published plans never mutate.
@@ -301,19 +282,10 @@ nn::Matrix QuantizedBackend::matmul_transposed(const nn::Matrix& w,
   detail::mirror_ledger_delta(dw);
   resident_matrix_ = nullptr;
 
-  std::vector<double> scale(batch, 1.0);
+  std::vector<double> scale(batch);
   std::vector<std::int8_t> xq(batch * rows);
-  std::vector<double> scaled(rows);
-  for (std::size_t b = 0; b < batch; ++b) {
-    const auto row = x.row(b);
-    const double s = dac_scale(row);
-    scale[b] = s;
-    for (std::size_t r = 0; r < rows; ++r) {
-      scaled[r] = row[r] / s;
-    }
-    input_quantizer_.to_levels(
-        scaled, std::span<std::int8_t>(xq.data() + b * rows, rows));
-  }
+  nn::dac_quantize(x.data().data(), batch, rows, input_quantizer_,
+                   scale.data(), xq.data());
 
   std::vector<std::int32_t> acc(batch * cols);
   nn::int8_gemm_transposed(plan.levels.data(), rows, cols, xq.data(), batch,
@@ -355,21 +327,10 @@ void QuantizedBackend::rank1_update(nn::Matrix& w, const nn::Vector& dh,
   ledger_.symbols += w.rows();
   ledger_.macs += w.size();
 
-  // Deterministic in-situ update on the weight grid: identical to a
-  // noise-free PhotonicBackend (round-to-nearest level, sub-LSB loss).
-  std::uint64_t changed = 0;
-  for (std::size_t r = 0; r < w.rows(); ++r) {
-    auto row = w.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      const double target = row[c] - lr * dh[r] * y_prev[c];
-      const double quantized =
-          weight_quantizer_.quantize(std::clamp(target, -1.0, 1.0));
-      if (quantized != row[c]) {
-        row[c] = quantized;
-        ++changed;
-      }
-    }
-  }
+  // Deterministic in-situ update on the weight grid: the kernel a
+  // noise-free PhotonicBackend runs (round-to-nearest level, sub-LSB loss).
+  const std::uint64_t changed =
+      nn::rank1_update_levels(w, dh, y_prev, lr, weight_quantizer_);
   ledger_.weight_writes += changed;
   if (changed > 0) {
     ledger_.program_events += 1;

@@ -335,9 +335,23 @@ void int8_gemm(const std::int8_t* w, std::size_t rows, std::size_t cols,
   // makes the padded path bit-identical to the scalar one.
   if (madd && batch - b >= 4) {
     const std::size_t tail = batch - b;
-    std::vector<std::int8_t> xp(kBatchBlockSmall * cols, 0);
-    std::vector<std::int32_t> yp(kBatchBlockSmall * rows, 0);
+    // Grow-only padding buffers owned by the calling thread, so the
+    // serving batches that land here allocate only on their first call.
+    thread_local std::vector<std::int8_t> xp;
+    thread_local std::vector<std::int32_t> yp;
+    if (xp.size() < kBatchBlockSmall * cols) {
+      xp.resize(kBatchBlockSmall * cols);
+    }
+    if (yp.size() < kBatchBlockSmall * rows) {
+      yp.resize(kBatchBlockSmall * rows);
+    }
+    const auto pad = xp.begin() + static_cast<std::ptrdiff_t>(tail * cols);
     std::copy(x + b * cols, x + batch * cols, xp.begin());
+    std::fill(pad, pad + static_cast<std::ptrdiff_t>(
+                             (kBatchBlockSmall - tail) * cols), 0);
+    std::fill(yp.begin(),
+              yp.begin() + static_cast<std::ptrdiff_t>(kBatchBlockSmall * rows),
+              0);
     int8_block_madd(w, rows, cols, xp.data(), yp.data(), 0, kBatchBlockSmall);
     std::copy(yp.begin(),
               yp.begin() + static_cast<std::ptrdiff_t>(tail * rows),

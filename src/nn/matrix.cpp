@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "parallel/thread_pool.hpp"
@@ -95,34 +96,33 @@ enum class Tier { kBaseline, kAvx2, kAvx512 };
 }
 
 /// Runs Kernel::run<V, R>(args...) on this machine's tier, V its vector
-/// type and R its vector register count.  Kernel::run is always_inline, so
-/// its body is compiled at the ISA of the tier function it lands in.
+/// type and R its vector register count, and returns its result.
+/// Kernel::run is always_inline, so its body is compiled at the ISA of the
+/// tier function it lands in.
 #ifdef TRIDENT_KERNEL_TIERS
 template <class Kernel, class... Args>
-__attribute__((target("avx512f"))) void run_avx512(Args... args) {
-  Kernel::template run<v8df, 32>(args...);
+__attribute__((target("avx512f"))) auto run_avx512(Args... args) {
+  return Kernel::template run<v8df, 32>(args...);
 }
 template <class Kernel, class... Args>
-__attribute__((target("avx2"))) void run_avx2(Args... args) {
-  Kernel::template run<v4df, 16>(args...);
+__attribute__((target("avx2"))) auto run_avx2(Args... args) {
+  return Kernel::template run<v4df, 16>(args...);
 }
 #endif
 
 template <class Kernel, class... Args>
-void run_on_tier(Args... args) {
+auto run_on_tier(Args... args) {
 #ifdef TRIDENT_KERNEL_TIERS
   switch (kernel_tier()) {
     case Tier::kAvx512:
-      run_avx512<Kernel>(args...);
-      return;
+      return run_avx512<Kernel>(args...);
     case Tier::kAvx2:
-      run_avx2<Kernel>(args...);
-      return;
+      return run_avx2<Kernel>(args...);
     case Tier::kBaseline:
       break;
   }
 #endif
-  Kernel::template run<vbase, kBaseRegs>(args...);
+  return Kernel::template run<vbase, kBaseRegs>(args...);
 }
 
 /// Samples per wide microkernel panel: one independent accumulation chain
@@ -335,6 +335,151 @@ struct PackedSamples {
           ? packed_sweep<V, tile_groups(kVG, R, I + 1), I + 1>(a, 0, b0)
           : void()),
      ...);
+  }
+};
+
+// --- quantization kernels ---------------------------------------------------
+//
+// round_half_away (common/quantize.hpp) lane by lane.  GCC leaves a plain
+// loop of clamps and selects scalar under the default -ftrapping-math, so
+// the bodies are written in the tier's vector type.  A lane converts to
+// int32 (cvttpd2dq, present on every tier) only after the clamp has bounded
+// it and NaN has become 0, so no lane ever converts a NaN or an
+// out-of-range value.  The scalar remainders call the SymmetricQuantizer
+// itself.
+
+/// int32 and int8 vectors with V's lane count.  (GCC drops a vector_size
+/// attribute on a dependent alias template, but keeps it on a member
+/// typedef.)
+template <class V>
+struct LaneInts {
+  typedef std::int32_t i32 __attribute__((vector_size(sizeof(V) / 2)));
+  typedef std::int8_t i8 __attribute__((vector_size(sizeof(V) / 8)));
+};
+
+/// Broadcasts and bounds of one level grid, in the tier's vector type.
+template <class V>
+struct GridLanes {
+  V lo, hi, step;
+  explicit GridLanes(const SymmetricQuantizer& grid)
+      : lo(V{} - grid.range()), hi(V{} + grid.range()), step(V{} + grid.step()) {}
+
+  /// v ← round_half_away(std::clamp(v, lo, hi) / step) per lane, as an
+  /// integer-valued double (+0.0 for level 0, like the int it stands for).
+  /// In place: a vector passed or returned by value would change the ABI
+  /// of this untargeted helper.
+  [[gnu::always_inline]] void to_level(V& v) const {
+    const V zero = {};
+    const V one = zero + 1.0;
+    const V half = zero + 0.5;
+    const V c = v < lo ? lo : (hi < v ? hi : v);
+    V u = c / step;
+    u = u == u ? u : zero;
+    const V t = __builtin_convertvector(
+        __builtin_convertvector(u, typename LaneInts<V>::i32), V);
+    const V f = u - t;
+    v = t + (f >= half ? one : zero) - (f <= -half ? one : zero);
+  }
+};
+
+/// rank1_update_levels on one tier: returns the cells whose level moved.
+struct Rank1Levels {
+  template <class V, std::size_t R>
+  [[gnu::always_inline]] static std::uint64_t run(
+      double* w, std::size_t rows, std::size_t cols, const double* dh,
+      const double* y, double lr, const SymmetricQuantizer* grid) {
+    constexpr std::size_t kL = kLanes<V>;
+    const GridLanes<V> g(*grid);
+    decltype(V{} != V{}) moved = {};
+    std::uint64_t changed = 0;
+    for (std::size_t r = 0; r < rows; ++r) {
+      const double a = lr * dh[r];  // lr·dh[r]·y[c] groups left to right
+      double* wr = w + r * cols;
+      std::size_t c = 0;
+      for (; c + kL <= cols; c += kL) {
+        V old;
+        V yc;
+        __builtin_memcpy(&old, wr + c, sizeof(V));
+        __builtin_memcpy(&yc, y + c, sizeof(V));
+        V q = old - a * yc;
+        g.to_level(q);
+        q *= g.step;
+        const auto ne = q != old;
+        const V out = ne ? q : old;
+        __builtin_memcpy(wr + c, &out, sizeof(V));
+        moved -= ne;
+      }
+      for (; c < cols; ++c) {
+        const double q = grid->quantize(wr[c] - a * y[c]);
+        if (q != wr[c]) {
+          wr[c] = q;
+          ++changed;
+        }
+      }
+    }
+    for (std::size_t l = 0; l < kL; ++l) {
+      changed += static_cast<std::uint64_t>(moved[l]);
+    }
+    return changed;
+  }
+};
+
+/// dac_quantize on one tier, Out = double (grid values) or std::int8_t
+/// (level indices).
+struct DacRows {
+  template <class V, std::size_t R, class Out>
+  [[gnu::always_inline]] static void run(const double* x, std::size_t batch,
+                                         std::size_t cols,
+                                         const SymmetricQuantizer* grid,
+                                         double* scale, Out* q) {
+    constexpr std::size_t kL = kLanes<V>;
+    const GridLanes<V> g(*grid);
+    const V zero = {};
+    for (std::size_t b = 0; b < batch; ++b) {
+      const double* xr = x + b * cols;
+      Out* qr = q + b * cols;
+      // max(1, max|x|) per lane, then across lanes: max is exact and a NaN
+      // never wins a comparison, so the order does not change the result.
+      V m = zero + 1.0;
+      std::size_t c = 0;
+      for (; c + kL <= cols; c += kL) {
+        V v;
+        __builtin_memcpy(&v, xr + c, sizeof(V));
+        const V av = v < zero ? -v : v;
+        m = m < av ? av : m;
+      }
+      double s = 1.0;
+      for (std::size_t l = 0; l < kL; ++l) {
+        s = std::max(s, m[l]);
+      }
+      for (; c < cols; ++c) {
+        s = std::max(s, std::abs(xr[c]));
+      }
+      scale[b] = s;
+
+      for (c = 0; c + kL <= cols; c += kL) {
+        V level;
+        __builtin_memcpy(&level, xr + c, sizeof(V));
+        level /= s;
+        g.to_level(level);
+        if constexpr (std::is_same_v<Out, double>) {
+          const V out = level * g.step;
+          __builtin_memcpy(qr + c, &out, sizeof(V));
+        } else {
+          const auto out = __builtin_convertvector(
+              __builtin_convertvector(level, typename LaneInts<V>::i32),
+              typename LaneInts<V>::i8);
+          __builtin_memcpy(qr + c, &out, sizeof(out));
+        }
+      }
+      for (; c < cols; ++c) {
+        if constexpr (std::is_same_v<Out, double>) {
+          qr[c] = grid->quantize(xr[c] / s);
+        } else {
+          qr[c] = static_cast<std::int8_t>(grid->to_level(xr[c] / s));
+        }
+      }
+    }
   }
 };
 
@@ -675,6 +820,27 @@ double Matrix::max_abs() const {
     m = std::max(m, std::abs(v));
   }
   return m;
+}
+
+std::uint64_t rank1_update_levels(Matrix& w, const Vector& dh,
+                                  const Vector& y, double lr,
+                                  const SymmetricQuantizer& grid) {
+  TRIDENT_REQUIRE(dh.size() == w.rows() && y.size() == w.cols(),
+                  "rank-1 update dimension mismatch");
+  return run_on_tier<Rank1Levels>(w.data().data(), w.rows(), w.cols(),
+                                  dh.data(), y.data(), lr, &grid);
+}
+
+void dac_quantize(const double* x, std::size_t batch, std::size_t cols,
+                  const SymmetricQuantizer& grid, double* scale, double* q) {
+  run_on_tier<DacRows>(x, batch, cols, &grid, scale, q);
+}
+
+void dac_quantize(const double* x, std::size_t batch, std::size_t cols,
+                  const SymmetricQuantizer& grid, double* scale,
+                  std::int8_t* levels) {
+  TRIDENT_REQUIRE(grid.bits() <= 8, "int8 levels require bits <= 8");
+  run_on_tier<DacRows>(x, batch, cols, &grid, scale, levels);
 }
 
 Vector hadamard(const Vector& a, const Vector& b) {

@@ -7,10 +7,12 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/quantize.hpp"
 #include "common/rng.hpp"
 
 namespace trident::nn {
@@ -145,6 +147,31 @@ class PackedPanel {
   /// of slack that put the first block on a cache line.
   std::vector<double> data_;
 };
+
+// --- quantization kernels ---------------------------------------------------
+//
+// Both run on the GEMMs' ISA tiers and round with round_half_away
+// (common/quantize.hpp) lane by lane, so every result is bit-identical to
+// SymmetricQuantizer's scalar rounding of the same element, including
+// NaN → level 0 and ±Inf saturating.
+
+/// The in-situ GST update (Eqs. 1–2): w ← level(w − (lr·dh[r])·y[c]) on
+/// `grid`, clamped to ±grid.range() first.  A cell whose level did not
+/// move keeps its stored bits (a stored −0.0 stays −0.0).  Returns the
+/// number of cells that changed — the write pulses the bank fires.
+[[nodiscard]] std::uint64_t rank1_update_levels(Matrix& w, const Vector& dh,
+                                                const Vector& y, double lr,
+                                                const SymmetricQuantizer& grid);
+
+/// The modulator DAC over a row-major (batch × cols) block: scale[b] =
+/// max(1, max|x_b|) (a NaN element never wins), then q = level(x / scale[b])
+/// on `grid` — as doubles (the photonic tier) or as int8 level indices (the
+/// fast tier; `grid` must have at most 8 bits).
+void dac_quantize(const double* x, std::size_t batch, std::size_t cols,
+                  const SymmetricQuantizer& grid, double* scale, double* q);
+void dac_quantize(const double* x, std::size_t batch, std::size_t cols,
+                  const SymmetricQuantizer& grid, double* scale,
+                  std::int8_t* levels);
 
 /// Element-wise (Hadamard) product.
 [[nodiscard]] Vector hadamard(const Vector& a, const Vector& b);

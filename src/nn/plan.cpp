@@ -55,7 +55,6 @@ void PlanArena::ensure(const ExecutionPlan& plan, std::size_t batch) {
   act_b_.reshape(batch_hw_, width_hw_);
   quantized_.reshape(batch_hw_, width_hw_);
   scale_.resize(batch_hw_);
-  scratch_.resize(width_hw_);
   int8_.resize(batch_hw_ * width_hw_);
   acc_.resize(batch_hw_ * width_hw_);
 }

@@ -283,10 +283,18 @@ std::optional<std::future<Response>> Server::submit(
     nn::Vector input, const SubmitOptions& options) {
   const Clock::time_point deadline = options.deadline;
   const ServingTier tier = options.tier;
-  TRIDENT_REQUIRE(static_cast<int>(input.size()) == input_dim_,
-                  "input width " + std::to_string(input.size()) +
-                      " does not match the model input " +
-                      std::to_string(input_dim_));
+  const bool wide = static_cast<int>(input.size()) == input_dim_;
+  const bool finite = std::all_of(input.begin(), input.end(),
+                                  [](double v) { return std::isfinite(v); });
+  if (!wide || !finite) {
+    // Refused before an id is minted: a NaN would otherwise reach the DAC,
+    // which quantizes it to level 0, and be served kOk as if it were 0.0.
+    rejected_inputs_.fetch_add(1, std::memory_order_relaxed);
+    TRIDENT_REQUIRE(wide, "input width " + std::to_string(input.size()) +
+                              " does not match the model input " +
+                              std::to_string(input_dim_));
+    TRIDENT_REQUIRE(finite, "input holds a NaN or an infinity");
+  }
   const std::uint64_t index =
       submitted_.fetch_add(1, std::memory_order_relaxed);
   if (config_.admission_blip && config_.admission_blip(index)) {
@@ -1141,6 +1149,7 @@ ServerStats Server::retire() {
 ServerStats Server::stats() const {
   ServerStats s;
   s.submitted = submitted_.load(std::memory_order_relaxed);
+  s.rejected_inputs = rejected_inputs_.load(std::memory_order_relaxed);
   s.accepted = queue_.accepted();
   s.shed = queue_.shed() + blip_shed_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);

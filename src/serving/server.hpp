@@ -180,6 +180,10 @@ struct ReplicaHealth {
 /// Point-in-time view of the runtime's own accounting (available with
 /// telemetry compiled out; the bench cross-validates these numbers).
 struct ServerStats {
+  /// submit() calls refused with trident::Error before admission: a wrong
+  /// width, a NaN or an infinity.  They consume no id and are not counted
+  /// in `submitted`.
+  std::uint64_t rejected_inputs = 0;
   std::uint64_t submitted = 0;
   std::uint64_t accepted = 0;
   std::uint64_t shed = 0;  ///< admission control + chaos admission blips
@@ -246,7 +250,9 @@ class Server {
   /// The tier selects the replica backend that runs the forward pass:
   /// kExact (default) is the full device model, kFast the int8 quantized
   /// tier (falling back to exact — and saying so in the response — when
-  /// the replica has none).
+  /// the replica has none).  An input of the wrong width or holding a NaN
+  /// or an infinity throws trident::Error and counts in
+  /// ServerStats::rejected_inputs.
   [[nodiscard]] std::optional<std::future<Response>> submit(
       nn::Vector input, ServingTier tier = ServingTier::kExact);
 
@@ -476,6 +482,7 @@ class Server {
   std::unique_ptr<FlightRecorder> flight_;  ///< null unless flight.enabled
 
   std::atomic<std::uint64_t> next_id_{0};
+  std::atomic<std::uint64_t> rejected_inputs_{0};
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> blip_shed_{0};
   std::atomic<std::uint64_t> completed_{0};

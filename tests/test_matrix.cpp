@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "common/error.hpp"
 
@@ -298,6 +303,193 @@ TEST(PackedPanel, ShapeMismatchThrows) {
   EXPECT_THROW(panel.matmul_into(Matrix(2, 5), y), Error);
   Matrix wrong(2, 4);
   EXPECT_THROW(panel.matmul_into(Matrix(2, 4), wrong), Error);
+}
+
+// --- quantization kernels ---------------------------------------------------
+
+/// The rounding the kernels replaced, kept here as the reference: libm
+/// lround of the clamped value, narrowed to int.  lround(NaN) narrows to
+/// level 0.
+int lround_level(double x, const SymmetricQuantizer& grid) {
+  return static_cast<int>(
+      std::lround(std::clamp(x, -grid.range(), grid.range()) / grid.step()));
+}
+
+double lround_value(double x, const SymmetricQuantizer& grid) {
+  return static_cast<double>(lround_level(x, grid)) * grid.step();
+}
+
+std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every tie k ± ½ of `grid` and both neighbours of each, ±1 and their
+/// neighbours, ±0 and denormals: the values whose rounding is in doubt.
+/// All lie in [-1, 1] apart from the neighbours just beyond ±1.
+std::vector<double> in_range_probes(const SymmetricQuantizer& grid) {
+  std::vector<double> v{0.0,
+                        -0.0,
+                        std::numeric_limits<double>::denorm_min(),
+                        -std::numeric_limits<double>::denorm_min(),
+                        -2.5e-310,
+                        1.0,
+                        -1.0,
+                        std::nextafter(1.0, 0.0),
+                        std::nextafter(1.0, 2.0),
+                        std::nextafter(-1.0, 0.0),
+                        std::nextafter(-1.0, -2.0)};
+  const int half = (grid.levels() - 1) / 2;
+  for (int k = -half; k < half; ++k) {
+    const double tie = (k + 0.5) * grid.step();
+    v.push_back(tie);
+    v.push_back(std::nextafter(tie, -2.0));
+    v.push_back(std::nextafter(tie, 2.0));
+  }
+  return v;
+}
+
+/// Values the clamp and the NaN mapping decide: finite ones, then NaN,
+/// then the two infinities last.
+std::vector<double> out_of_range_probes() {
+  const double inf = std::numeric_limits<double>::infinity();
+  return {1.5,     -1.5,     3.0,
+          -7.25,   1e300,    -1e300,
+          DBL_MAX, -DBL_MAX, std::numeric_limits<double>::quiet_NaN(),
+          inf,     -inf};
+}
+
+const std::vector<std::size_t> kKernelWidths = {1,  3,  7,  8,  9,  15,
+                                                16, 17, 63, 64, 65, 257};
+
+TEST(QuantizeKernels, Rank1UpdateMatchesLroundBitForBit) {
+  // Row 0 holds +0.0 with dh = 1, lr = 1 and y = −probe, so the target is
+  // the probe exactly: every tie, neighbour, ±Inf and NaN meets the
+  // rounding.  Row 1 holds −0.0 with dh = 0: a cell whose level stays 0
+  // must keep its −0.0.  Row 2 starts on the grid; row 3 starts on the
+  // probes themselves (off-grid, beyond ±1, NaN stored).
+  Rng rng(0x0A11u);
+  for (const int bits : {4, 6, 8}) {
+    const SymmetricQuantizer grid(bits, 1.0);
+    std::vector<double> probes = in_range_probes(grid);
+    for (const double v : out_of_range_probes()) {
+      probes.push_back(v);
+    }
+    for (const std::size_t cols : kKernelWidths) {
+      for (std::size_t offset = 0; offset < probes.size(); offset += cols) {
+        Matrix w(4, cols);
+        Vector y(cols);
+        for (std::size_t c = 0; c < cols; ++c) {
+          const double p = probes[(offset + c) % probes.size()];
+          y[c] = -p;
+          w.at(0, c) = 0.0;
+          w.at(1, c) = -0.0;
+          w.at(2, c) = grid.quantize(rng.uniform(-1.0, 1.0));
+          w.at(3, c) = p;
+        }
+        const Vector dh{1.0, 0.0, rng.uniform(-0.1, 0.1), 1e-3};
+        const double lr = 1.0;
+
+        Matrix want = w;
+        std::uint64_t want_changed = 0;
+        for (std::size_t r = 0; r < want.rows(); ++r) {
+          for (std::size_t c = 0; c < cols; ++c) {
+            const double q =
+                lround_value(std::clamp(want.at(r, c) - lr * dh[r] * y[c],
+                                        -1.0, 1.0),
+                             grid);
+            if (q != want.at(r, c)) {
+              want.at(r, c) = q;
+              ++want_changed;
+            }
+          }
+        }
+
+        const std::uint64_t changed = rank1_update_levels(w, dh, y, lr, grid);
+        ASSERT_EQ(changed, want_changed)
+            << bits << "-bit, width " << cols << ", offset " << offset;
+        for (std::size_t i = 0; i < w.size(); ++i) {
+          ASSERT_EQ(bits_of(w.data()[i]), bits_of(want.data()[i]))
+              << bits << "-bit, width " << cols << ", offset " << offset
+              << ", cell " << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(QuantizeKernels, DacMatchesLroundBitForBit) {
+  // Row 0 stays in [-1, 1] (scale 1, so the probes themselves are
+  // rounded); row 1 adds values beyond ±1 and NaN (a finite scale that a
+  // NaN must not win); row 2 adds ±Inf (scale Inf, every level from
+  // Inf/Inf or x/Inf).
+  for (const int bits : {4, 6, 8}) {
+    const SymmetricQuantizer grid(bits, 1.0);
+    const std::vector<double> in = in_range_probes(grid);
+    const std::vector<double> out = out_of_range_probes();
+    for (const std::size_t cols : kKernelWidths) {
+      for (std::size_t offset = 0; offset < in.size(); offset += cols) {
+        Matrix x(3, cols);
+        for (std::size_t c = 0; c < cols; ++c) {
+          const double p = in[(offset + c) % in.size()];
+          x.at(0, c) = p;
+          const std::size_t i = offset + c;
+          x.at(1, c) = i % 4 == 1 ? out[i % (out.size() - 2)] : p;
+          x.at(2, c) = i % 5 == 2 ? out[i % out.size()] : p;
+        }
+        Vector scale(3);
+        Vector q(x.size());
+        std::vector<std::int8_t> levels(x.size());
+        dac_quantize(x.data().data(), 3, cols, grid, scale.data(), q.data());
+        Vector scale8(3);
+        dac_quantize(x.data().data(), 3, cols, grid, scale8.data(),
+                     levels.data());
+        for (std::size_t b = 0; b < 3; ++b) {
+          double s = 1.0;
+          for (std::size_t c = 0; c < cols; ++c) {
+            s = std::max(s, std::abs(x.at(b, c)));
+          }
+          ASSERT_EQ(bits_of(scale[b]), bits_of(s));
+          ASSERT_EQ(bits_of(scale8[b]), bits_of(s));
+          for (std::size_t c = 0; c < cols; ++c) {
+            const double v = x.at(b, c) / s;
+            ASSERT_EQ(bits_of(q[b * cols + c]), bits_of(lround_value(v, grid)))
+                << bits << "-bit, width " << cols << ", row " << b
+                << ", col " << c << ", x " << x.at(b, c);
+            ASSERT_EQ(levels[b * cols + c],
+                      static_cast<std::int8_t>(lround_level(v, grid)))
+                << bits << "-bit, width " << cols << ", row " << b
+                << ", col " << c << ", x " << x.at(b, c);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(QuantizeKernels, ScalarRuleMatchesLround) {
+  // round_half_away is what SymmetricQuantizer::to_level and the kernels'
+  // remainders use; NaN lands on 0 by definition.
+  for (const int bits : {4, 6, 8}) {
+    const SymmetricQuantizer grid(bits, 1.0);
+    std::vector<double> probes = in_range_probes(grid);
+    for (const double v : out_of_range_probes()) {
+      probes.push_back(v);
+    }
+    for (const double v : probes) {
+      EXPECT_EQ(grid.to_level(v), lround_level(v, grid)) << v;
+    }
+  }
+  EXPECT_EQ(round_half_away(std::numeric_limits<double>::quiet_NaN()), 0);
+  EXPECT_EQ(round_half_away(-2.5), -3);
+  EXPECT_EQ(round_half_away(2.5), 3);
+  EXPECT_EQ(round_half_away(std::nextafter(0.5, 0.0)), 0);
+}
+
+TEST(QuantizeKernels, Rank1ShapeMismatchThrows) {
+  Matrix w(2, 3);
+  const SymmetricQuantizer grid(8, 1.0);
+  EXPECT_THROW((void)rank1_update_levels(w, Vector(3), Vector(3), 0.1, grid),
+               Error);
+  EXPECT_THROW((void)rank1_update_levels(w, Vector(2), Vector(2), 0.1, grid),
+               Error);
 }
 
 TEST(VectorOps, HadamardInto) {

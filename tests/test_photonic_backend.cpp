@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
+#include "core/quantized_backend.hpp"
 
 namespace trident::core {
 namespace {
@@ -180,6 +183,43 @@ TEST(PhotonicBackend, UpdateLedgerCountsOnlyChangedCells) {
   EXPECT_EQ(backend.ledger().weight_writes, 0u);
   backend.rank1_update(w, {1.0, 0.0}, {1.0, 0.0}, 0.1);
   EXPECT_EQ(backend.ledger().weight_writes, 1u);  // only w(0,0) moved
+}
+
+TEST(PhotonicBackend, Rank1UpdateMatchesQuantizedBackendCellForCell) {
+  // Both backends run the one in-situ update kernel, so the same steps
+  // leave the same weights, bit for bit, and the same ledger.  The start
+  // reaches ±1.2, so saturated cells are updated too.
+  for (const int bits : {6, 8}) {
+    PhotonicBackendConfig pc;
+    pc.weight_bits = bits;
+    QuantizedBackendConfig qc;
+    qc.weight_bits = bits;
+    PhotonicBackend photonic(pc);
+    QuantizedBackend quantized(qc);
+    nn::Matrix wp = random_matrix(37, 65, 0x51u, 1.2);
+    nn::Matrix wq = wp;
+    Rng rng(0x52u);
+    for (int step = 0; step < 20; ++step) {
+      nn::Vector dh(wp.rows());
+      nn::Vector y(wp.cols());
+      for (double& v : dh) {
+        v = rng.uniform(-0.5, 0.5);
+      }
+      for (double& v : y) {
+        v = rng.uniform(-1.0, 1.0);
+      }
+      photonic.rank1_update(wp, dh, y, 0.05);
+      quantized.rank1_update(wq, dh, y, 0.05);
+      for (std::size_t i = 0; i < wp.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(wp.data()[i]),
+                  std::bit_cast<std::uint64_t>(wq.data()[i]))
+            << bits << "-bit, step " << step << ", cell " << i;
+      }
+      ASSERT_EQ(photonic.ledger(), quantized.ledger())
+          << bits << "-bit, step " << step;
+    }
+    EXPECT_GT(photonic.ledger().weight_writes, 0u);
+  }
 }
 
 TEST(PhotonicBackend, ReadoutNoisePerturbsResults) {

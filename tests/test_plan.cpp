@@ -210,9 +210,7 @@ TEST(PlanZeroAlloc, PhotonicBackendSteadyState) {
 
 TEST(PlanZeroAlloc, QuantizedBackendSteadyState) {
   core::QuantizedBackend backend;
-  // B=1 and B=32 only: int8_gemm zero-pads a 4..15-sample tail into two
-  // freshly allocated buffers per layer, so the int8 tier allocates there.
-  expect_zero_steady_state_allocs(backend, "quantized", {1, 32});
+  expect_zero_steady_state_allocs(backend, "quantized");
 }
 
 // --- interpreter fallback ---------------------------------------------------

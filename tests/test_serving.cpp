@@ -7,7 +7,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cfloat>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <thread>
 #include <vector>
@@ -464,6 +469,7 @@ TEST(Server, SubmitAfterDrainIsShed) {
 TEST(Server, RejectsWrongInputWidth) {
   Server server(test_model(), ServerConfig{});
   EXPECT_THROW((void)server.submit(nn::Vector(5, 0.0)), Error);
+  EXPECT_EQ(server.stats().rejected_inputs, 1u);
 }
 
 TEST(Server, InvalidConfigRejected) {
@@ -878,6 +884,97 @@ TEST(Server, FastTierServesQuantizedOutputsBitExactly) {
   EXPECT_EQ(stats.fast_fallbacks, 0u);
   // The fast tier bills level reads through the same ledger currency.
   EXPECT_GT(stats.ledger.macs, 0u);
+}
+
+TEST(Server, HostileInputsAreRejectedAtAdmissionOnBothTiers) {
+  // NaN, ±Inf and a wrong width fail loudly at submit, are counted, and
+  // consume no id; extreme but finite inputs (denormals, ±1e300, ±DBL_MAX)
+  // are served kOk, bit-equal to the B=1 reference of their tier.  Slots
+  // and values are seeded.
+  const nn::Mlp model = test_model();
+  ServerConfig cfg;
+  cfg.replicas = 1;
+  cfg.max_batch = 4;
+  cfg.max_wait = std::chrono::microseconds(100);
+  cfg.admission.capacity = 64;
+  cfg.enable_fast_tier = true;
+  Server server(model, cfg);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  Rng rng(0xBAD1u);
+  const auto seeded_vector = [&rng] {
+    nn::Vector x(8);
+    for (double& v : x) {
+      v = rng.uniform(-1.0, 1.0);
+    }
+    return x;
+  };
+  const auto slot = [&rng] {
+    return static_cast<std::size_t>(rng.uniform_int(0, 7));
+  };
+  const ServingTier tiers[] = {ServingTier::kExact, ServingTier::kFast};
+
+  std::uint64_t rejected = 0;
+  for (const ServingTier tier : tiers) {
+    for (const double bad : {nan, inf, -inf}) {
+      for (int trial = 0; trial < 4; ++trial) {
+        nn::Vector x = seeded_vector();
+        x[slot()] = bad;
+        EXPECT_THROW((void)server.submit(x, tier), Error) << bad;
+        ++rejected;
+      }
+    }
+    EXPECT_THROW((void)server.submit(nn::Vector(5, 0.0), tier), Error);
+    EXPECT_THROW((void)server.submit(nn::Vector(9, nan), tier), Error);
+    rejected += 2;
+  }
+  EXPECT_EQ(server.stats().rejected_inputs, rejected);
+  EXPECT_EQ(server.stats().submitted, 0u);
+
+  std::vector<nn::Vector> inputs;
+  std::vector<ServingTier> input_tiers;
+  for (const ServingTier tier : tiers) {
+    inputs.emplace_back(8, tiny);
+    input_tiers.push_back(tier);
+    for (const double extreme : {-tiny, 2.5e-310, 1e300, -1e300, DBL_MAX,
+                                 -DBL_MAX}) {
+      nn::Vector x = seeded_vector();
+      x[slot()] = extreme;
+      inputs.push_back(std::move(x));
+      input_tiers.push_back(tier);
+    }
+  }
+  std::vector<std::future<Response>> futures;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    auto fut = server.submit(inputs[i], input_tiers[i]);
+    ASSERT_TRUE(fut.has_value());
+    futures.push_back(std::move(*fut));
+  }
+  server.drain();
+
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const Response r = futures[i].get();
+    EXPECT_EQ(r.status, ResponseStatus::kOk) << "request " << i;
+    EXPECT_EQ(r.id, i) << "a rejected submit consumed an id";
+    core::PhotonicBackend exact;
+    const nn::Vector want =
+        input_tiers[i] == ServingTier::kFast
+            ? fast_reference_output(model, inputs[i])
+            : model.forward(inputs[i], exact).activations.back();
+    ASSERT_EQ(r.output.size(), want.size());
+    for (std::size_t j = 0; j < want.size(); ++j) {
+      ASSERT_TRUE(std::isfinite(want[j])) << "request " << i;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.output[j]),
+                std::bit_cast<std::uint64_t>(want[j]))
+          << "request " << i << " component " << j;
+    }
+  }
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.completed, inputs.size());
+  EXPECT_EQ(stats.failed, 0u);
+  EXPECT_EQ(stats.rejected_inputs, rejected);
 }
 
 TEST(Server, MixedTiersPartitionWithinABatchAndAccountExactly) {

@@ -4,7 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "common/error.hpp"
+#include "core/photonic_backend.hpp"
 
 namespace trident::nn {
 namespace {
@@ -126,6 +132,89 @@ TEST(Train, BatchSizeOneIsBitIdenticalToDefault) {
   const TrainResult rb = fit(net_b, data_b, cfg1, backend);
   EXPECT_EQ(ra.epoch_loss, rb.epoch_loss);
   EXPECT_EQ(ra.epoch_accuracy, rb.epoch_accuracy);
+}
+
+/// A photonic backend whose in-situ update is the scalar loop the update
+/// kernel replaced: libm lround per cell.  Forward and gradient passes go
+/// to the wrapped PhotonicBackend unchanged; the update keeps its own books
+/// and, like PhotonicBackend, evicts the resident matrix after a write.
+class ScalarRank1Photonic final : public MatvecBackend {
+ public:
+  core::PhotonicBackend inner;
+  core::PhotonicLedger updates;
+
+  [[nodiscard]] Vector matvec(const Matrix& w, const Vector& x) override {
+    return inner.matvec(w, x);
+  }
+  [[nodiscard]] Vector matvec_transposed(const Matrix& w,
+                                         const Vector& x) override {
+    return inner.matvec_transposed(w, x);
+  }
+  [[nodiscard]] Matrix matmul(const Matrix& w, const Matrix& x) override {
+    return inner.matmul(w, x);
+  }
+  [[nodiscard]] Matrix matmul_transposed(const Matrix& w,
+                                         const Matrix& x) override {
+    return inner.matmul_transposed(w, x);
+  }
+  void rank1_update(Matrix& w, const Vector& dh, const Vector& y_prev,
+                    double lr) override {
+    const double step = SymmetricQuantizer(8, 1.0).step();
+    std::uint64_t changed = 0;
+    for (std::size_t r = 0; r < w.rows(); ++r) {
+      for (std::size_t c = 0; c < w.cols(); ++c) {
+        const double target = w.at(r, c) - lr * dh[r] * y_prev[c];
+        const long level = std::lround(std::clamp(target, -1.0, 1.0) / step);
+        const double q = static_cast<double>(static_cast<int>(level)) * step;
+        if (q != w.at(r, c)) {
+          w.at(r, c) = q;
+          ++changed;
+        }
+      }
+    }
+    updates.symbols += w.rows();
+    updates.macs += w.size();
+    updates.weight_writes += changed;
+    if (changed > 0) {
+      updates.program_events += 1;
+      inner.mark_resident(evicted_);
+    }
+  }
+
+ private:
+  Matrix evicted_{1, 1};  ///< resident in place of "nothing programmed"
+};
+
+TEST(Train, InSituTrajectoryMatchesScalarRank1Loop) {
+  // Batch-1 in-situ training through the photonic tier, once with the
+  // update kernel and once with the scalar lround loop it replaced: every
+  // loss, weight and ledger counter must agree.
+  Rng rng_a(0x7Au);
+  Rng rng_b(0x7Au);
+  Mlp net_a({64, 128, 64, 10}, Activation::kGstPhotonic, rng_a);
+  Mlp net_b({64, 128, 64, 10}, Activation::kGstPhotonic, rng_b);
+  Rng data_rng(0x7Bu);
+  const Dataset data = pattern_classes(192, 10, 64, 0.05, data_rng);
+  TrainConfig cfg;
+  cfg.epochs = 2;
+  cfg.learning_rate = 0.05;
+  cfg.batch_size = 1;
+  core::PhotonicBackend kernel;
+  ScalarRank1Photonic scalar;
+  const TrainResult ra = fit(net_a, data, cfg, kernel);
+  const TrainResult rb = fit(net_b, data, cfg, scalar);
+  EXPECT_EQ(ra.epoch_loss, rb.epoch_loss);
+  for (int k = 0; k < net_a.depth(); ++k) {
+    const auto& wa = net_a.weight(k).data();
+    const auto& wb = net_b.weight(k).data();
+    for (std::size_t i = 0; i < wa.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(wa[i]),
+                std::bit_cast<std::uint64_t>(wb[i]))
+          << "layer " << k << ", cell " << i;
+    }
+  }
+  EXPECT_EQ(kernel.ledger(), scalar.inner.ledger() + scalar.updates);
+  EXPECT_GT(scalar.updates.weight_writes, 0u);
 }
 
 TEST(Train, MinibatchesAlsoLearn) {
