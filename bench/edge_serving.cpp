@@ -9,11 +9,12 @@
 //
 // Part 2 (measured): the src/serving runtime actually runs requests
 // through PhotonicBackend replicas.  At max_batch 1 and 70% utilization
-// the runtime IS an M/D/1 queue (Poisson arrivals, near-deterministic
-// service), so the simulation becomes the correctness oracle: measured
-// mean/p50/p99 sojourn must track the analytic/simulated values.  A
-// batched run then shows the throughput the amortised GEMM path buys at
-// equal replica count.
+// the runtime is a single-server queue with Poisson arrivals.  Its service
+// time is not deterministic on a shared host (in-run p99 is about twice
+// p50), so the oracle is the M/G/1 Pollaczek–Khinchine mean, fed the
+// in-run service moments; the M/D/1 simulation and closed form stay beside
+// it for the distribution.  A batched run then shows the throughput the
+// amortised GEMM path buys at equal replica count.
 //
 // Run:  ./build/bench/edge_serving            # everything
 //       ./build/bench/edge_serving --analytic-only
@@ -139,6 +140,9 @@ struct MeasuredReport {
   double sim_mean_s = 0.0, sim_p50_s = 0.0, sim_p99_s = 0.0;
   double analytic_mean_s = 0.0;
   double mean_rel_err = 0.0;
+  double service_mean_sq_s2 = 0.0;
+  double mg1_mean_s = 0.0;
+  double mg1_rel_err = 0.0;
   std::size_t max_batch = 0;
   double batch1_qps = 0.0;
   double batched_qps = 0.0;
@@ -163,7 +167,10 @@ void write_json_report(const std::string& path, const MeasuredReport& r) {
         << "    \"sim_p50_s\": " << r.sim_p50_s << ",\n"
         << "    \"sim_p99_s\": " << r.sim_p99_s << ",\n"
         << "    \"analytic_mean_s\": " << r.analytic_mean_s << ",\n"
-        << "    \"mean_rel_err\": " << r.mean_rel_err << "\n"
+        << "    \"mean_rel_err\": " << r.mean_rel_err << ",\n"
+        << "    \"service_mean_sq_s2\": " << r.service_mean_sq_s2 << ",\n"
+        << "    \"mg1_mean_s\": " << r.mg1_mean_s << ",\n"
+        << "    \"mg1_rel_err\": " << r.mg1_rel_err << "\n"
         << "  },\n";
   }
   out << "  \"throughput\": {\n"
@@ -257,19 +264,31 @@ int real_runtime(const CliArgs& args) {
       units::Time::seconds(measured_service_s), sim_cfg);
   const double analytic_mean_s =
       sim.analytic_mean_wait.s() + measured_service_s;
+  // Pollaczek–Khinchine: E[T] = E[S] + λE[S²] / (2(1 − ρ)), with both
+  // service moments taken from this run's own requests.
+  const double mg1_mean_s =
+      measured_service_s +
+      qps * report.service_mean_sq_s2 / (2.0 * (1.0 - rho));
 
-  Table t({"Sojourn", "measured (us)", "M/D/1 sim (us)", "analytic (us)"});
+  Table t({"Sojourn", "measured (us)", "M/D/1 sim (us)",
+           "M/D/1 analytic (us)", "M/G/1 analytic (us)"});
   t.add_row({"mean", Table::num(report.sojourn.mean_s * 1e6, 1),
              Table::num(sim.mean_sojourn.us(), 1),
-             Table::num(analytic_mean_s * 1e6, 1)});
+             Table::num(analytic_mean_s * 1e6, 1),
+             Table::num(mg1_mean_s * 1e6, 1)});
   t.add_row({"p50", Table::num(report.sojourn.p50_s * 1e6, 1),
-             Table::num(sim.p50.us(), 1), "-"});
+             Table::num(sim.p50.us(), 1), "-", "-"});
   t.add_row({"p99", Table::num(report.sojourn.p99_s * 1e6, 1),
-             Table::num(sim.p99.us(), 1), "-"});
+             Table::num(sim.p99.us(), 1), "-", "-"});
   std::cout << '\n' << t;
+  std::cout << "in-run service p50 / p99: "
+            << Table::num(report.service.p50_s * 1e6, 1) << " / "
+            << Table::num(report.service.p99_s * 1e6, 1) << " us\n";
 
   const double rel_err =
       std::abs(report.sojourn.mean_s - analytic_mean_s) / analytic_mean_s;
+  const double mg1_rel_err =
+      std::abs(report.sojourn.mean_s - mg1_mean_s) / mg1_mean_s;
   json_report.md1_checked = true;
   json_report.measured_mean_s = report.sojourn.mean_s;
   json_report.measured_p50_s = report.sojourn.p50_s;
@@ -279,10 +298,15 @@ int real_runtime(const CliArgs& args) {
   json_report.sim_p99_s = sim.p99.s();
   json_report.analytic_mean_s = analytic_mean_s;
   json_report.mean_rel_err = rel_err;
+  json_report.service_mean_sq_s2 = report.service_mean_sq_s2;
+  json_report.mg1_mean_s = mg1_mean_s;
+  json_report.mg1_rel_err = mg1_rel_err;
   std::cout << "\nmean sojourn vs analytic M/D/1: "
-            << Table::num(rel_err * 100.0, 1) << "% "
-            << (rel_err <= 0.10 ? "(PASS, within 10%)"
-                                : "(WARN, outside 10% — noisy host?)")
+            << Table::num(rel_err * 100.0, 1) << "% (deterministic service)\n"
+            << "mean sojourn vs analytic M/G/1: "
+            << Table::num(mg1_rel_err * 100.0, 1) << "% "
+            << (mg1_rel_err <= 0.10 ? "(PASS, within 10%)"
+                                    : "(WARN, outside 10%)")
             << "\n";
 
   // Throughput: saturate one replica and compare batch=1 against the

@@ -22,7 +22,7 @@ namespace trident::nn {
 // register width: GCC keeps a vector wider than the target's registers on
 // the stack and moves it through halves on every iteration, which is
 // slower than the scalar loop.  Together with
-// -ffp-contract=off (set on this file by CMake) every tier performs the
+// -ffp-contract=off (set project-wide by CMake) every tier performs the
 // identical sequence of IEEE multiplies and adds — vector width changes
 // which lanes run together, never what any one accumulation chain computes.
 // The chain-free kernels (transposed GEMM, outer-product update) vectorise
@@ -135,13 +135,15 @@ constexpr std::size_t kBatchBlockSmall = 8;
 /// Fan-in block: a kColBlock × kBatchBlock panel is 32 KiB — stays in L1
 /// while every weight row of the block streams over it.
 constexpr std::size_t kColBlock = 256;
+/// Multiply-adds per dispatched parallel_for task: below this a call runs
+/// inline.
+constexpr std::size_t kGrainMacs = 262144;
 
 /// Grain for parallel_for so tiny batched calls run inline: target roughly
-/// 256k multiply-adds per dispatched task.
+/// kGrainMacs multiply-adds per dispatched task.
 [[nodiscard]] std::size_t grain_for(std::size_t flops_per_index) {
-  constexpr std::size_t kTargetFlops = 262144;
   return std::max<std::size_t>(
-      1, kTargetFlops / std::max<std::size_t>(1, flops_per_index));
+      1, kGrainMacs / std::max<std::size_t>(1, flops_per_index));
 }
 
 /// Computes output rows [b0, b0+MB) of y = x·Wᵀ.  Samples are packed into a
@@ -295,32 +297,33 @@ template <class V, std::size_t RP, std::size_t NB>
   }
 }
 
-/// Every row group for samples [b0, b0+NB): RP-group tiles, then the
+/// Row groups [g0, g1) for samples [b0, b0+NB): RP-group tiles, then the
 /// leftover groups with halving tile heights.
 template <class V, std::size_t RP, std::size_t NB>
 [[gnu::always_inline]] inline void packed_sweep(const PanelArgs& a,
                                                 std::size_t g0,
+                                                std::size_t g1,
                                                 std::size_t b0) {
-  const std::size_t groups = (a.rows + kGroupRows - 1) / kGroupRows;
-  for (; g0 + RP <= groups; g0 += RP) {
+  for (; g0 + RP <= g1; g0 += RP) {
     packed_tile<V, RP, NB>(a, g0, b0);
   }
   if constexpr (RP > 1) {
-    packed_sweep<V, RP / 2, NB>(a, g0, b0);
+    packed_sweep<V, RP / 2, NB>(a, g0, g1, b0);
   }
 }
 
-/// Samples [b0, b0+n), n ≤ kBatchBlock, in tiles of the tier's widest
-/// sample count and one tile for the remainder.
+/// Row groups [g0, g1) for samples [b0, b0+n), n ≤ kBatchBlock, in tiles of
+/// the tier's widest sample count and one tile for the remainder.
 struct PackedSamples {
   template <class V, std::size_t R>
-  [[gnu::always_inline]] static void run(PanelArgs a, std::size_t b0,
+  [[gnu::always_inline]] static void run(PanelArgs a, std::size_t g0,
+                                         std::size_t g1, std::size_t b0,
                                          std::size_t n) {
     constexpr std::size_t kVG = kGroupRows / kLanes<V>;
     constexpr std::size_t kMaxNB = max_tile_samples(kVG, R);
     while (n > 0) {
       const std::size_t nb = std::min(n, kMaxNB);
-      dispatch<V, R>(a, b0, nb, std::make_index_sequence<kMaxNB>{});
+      dispatch<V, R>(a, g0, g1, b0, nb, std::make_index_sequence<kMaxNB>{});
       b0 += nb;
       n -= nb;
     }
@@ -328,11 +331,12 @@ struct PackedSamples {
 
   template <class V, std::size_t R, std::size_t... I>
   [[gnu::always_inline]] static void dispatch(const PanelArgs& a,
+                                              std::size_t g0, std::size_t g1,
                                               std::size_t b0, std::size_t nb,
                                               std::index_sequence<I...>) {
     constexpr std::size_t kVG = kGroupRows / kLanes<V>;
     ((nb == I + 1
-          ? packed_sweep<V, tile_groups(kVG, R, I + 1), I + 1>(a, 0, b0)
+          ? packed_sweep<V, tile_groups(kVG, R, I + 1), I + 1>(a, g0, g1, b0)
           : void()),
      ...);
   }
@@ -699,18 +703,30 @@ void PackedPanel::matmul_into(const Matrix& x, Matrix& y) const {
   }
   const PanelArgs args{blocks(), rows_, cols_, x.data().data(),
                        y.data().data()};
+  const std::size_t groups = (rows_ + kGroupRows - 1) / kGroupRows;
   const std::size_t batch = x.rows();
   const std::size_t full_blocks = batch / kBatchBlock;
   // Pool dispatch over the same 16-sample blocks and grain as
-  // Matrix::matmul_into, so a serving batch of 16 or fewer runs inline.
+  // Matrix::matmul_into, so a full block of one large layer keeps its core.
   parallel_for(
       0, full_blocks,
       [&](std::size_t blk) {
-        run_on_tier<PackedSamples>(args, blk * kBatchBlock, kBatchBlock);
+        run_on_tier<PackedSamples>(args, std::size_t{0}, groups,
+                                   blk * kBatchBlock, kBatchBlock);
       },
       grain_for(rows_ * cols_ * kBatchBlock));
-  if (const std::size_t b = full_blocks * kBatchBlock; b < batch) {
-    run_on_tier<PackedSamples>(args, b, batch - b);
+  // The samples narrower than a block: a tail of at least two grains of
+  // work is split across the pool by row group, in chunks of whole groups
+  // the pool sizes.  Each (row, sample) chain still runs in one tile on one
+  // thread in strict column order, so the split changes no output bit.
+  const std::size_t b = full_blocks * kBatchBlock;
+  const std::size_t tail = batch - b;
+  if (tail > 0 && rows_ * cols_ * tail < 2 * kGrainMacs) {
+    run_on_tier<PackedSamples>(args, std::size_t{0}, groups, b, tail);
+  } else if (tail > 0) {
+    parallel_for_ranges(0, groups, [&](std::size_t g0, std::size_t g1) {
+      run_on_tier<PackedSamples>(args, g0, g1, b, tail);
+    });
   }
   if (telem) {
     note_matmul(t0);

@@ -1,7 +1,6 @@
 #include "parallel/thread_pool.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <utility>
 
 #include "telemetry/metrics.hpp"
@@ -11,25 +10,33 @@ namespace trident {
 
 namespace {
 
-/// Global-pool health metrics: how deep the queue runs and where task time
-/// goes (waiting vs running).
+/// Chunks per participating thread: more chunks than threads, so a worker
+/// woken late takes fewer of them instead of holding up the region.
+constexpr std::size_t kChunksPerThread = 4;
+/// The claim word's chunk fields are 16 bits wide.
+constexpr std::size_t kMaxChunks = 0xFFFF;
+constexpr std::uint64_t kChunkMask = 0xFFFF;
+
+/// Pause-loop polls of the owner waiting for a straggler chunk before it
+/// starts yielding its core instead.  It keeps its core rather than
+/// sleeping: a sleeping owner cost closed-loop throughput
+/// (docs/performance.md).
+constexpr unsigned kOwnerPolls = 1024;
+
+void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+/// parallel_for dispatch counters: how often a loop fans out across the
+/// pool, and how often it runs on the caller (one grain, or a busy pool).
 struct PoolMetrics {
   telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Gauge& queue_depth = reg.gauge(
-      "trident_pool_queue_depth", "tasks waiting in the global pool queue");
-  telemetry::Counter& tasks = reg.counter("trident_pool_tasks_total",
-                                          "tasks executed by pool workers");
-  telemetry::Histogram& wait_seconds =
-      reg.histogram("trident_pool_task_wait_seconds",
-                    telemetry::duration_buckets_seconds(),
-                    "queue wait from submit to first instruction");
-  telemetry::Histogram& run_seconds = reg.histogram(
-      "trident_pool_task_run_seconds", telemetry::duration_buckets_seconds(),
-      "task body execution time");
   telemetry::Counter& for_inline =
       reg.counter("trident_pool_parallel_for_inline_total",
                   "parallel_for calls run on the caller thread "
-                  "(range fits one grain, or a single worker)");
+                  "(range fits one grain, or the pool runs another region)");
   telemetry::Counter& for_dispatched =
       reg.counter("trident_pool_parallel_for_dispatched_total",
                   "parallel_for calls fanned out across workers");
@@ -42,96 +49,128 @@ PoolMetrics& pool_metrics() {
 
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
+ThreadPool::ThreadPool()
+    : ThreadPool(std::max(1U, std::thread::hardware_concurrency()) - 1) {}
+
+ThreadPool::ThreadPool(std::size_t workers) {
+  workers_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  {
-    std::lock_guard lock(mutex_);
-    stopping_ = true;
-  }
-  cv_.notify_all();
+  stopping_.store(true, std::memory_order_release);
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
   for (auto& w : workers_) {
     w.join();
   }
 }
 
-void ThreadPool::enqueue(std::function<void()> fn) {
-  Job job{std::move(fn), {}};
-  const bool telem = telemetry::enabled();
-  if (telem) {
-    job.enqueued = std::chrono::steady_clock::now();
+bool ThreadPool::try_run(std::size_t begin, std::size_t end,
+                         std::size_t grain, ChunkFn fn, void* ctx) {
+  if (workers_.empty() || busy_.exchange(true, std::memory_order_acquire)) {
+    return false;
   }
-  std::size_t depth = 0;
-  {
-    std::lock_guard lock(mutex_);
-    TRIDENT_REQUIRE(!stopping_, "submit on a stopped pool");
-    queue_.push(std::move(job));
-    depth = queue_.size();
+  if (telemetry::enabled()) {
+    pool_metrics().for_dispatched.add(1);
   }
-  if (telem) {
-    pool_metrics().queue_depth.set(static_cast<double>(depth));
+  const std::size_t n = end - begin;
+  const std::size_t g = std::max<std::size_t>(1, grain);
+  const std::size_t threads = workers_.size() + 1;
+  const std::size_t target =
+      std::min({(n + g - 1) / g, kChunksPerThread * threads, kMaxChunks});
+  const std::size_t step = (n + target - 1) / target;
+  const std::uint64_t count = (n + step - 1) / step;
+
+  // Publish: the fields first, then the claim word that releases them.
+  fn_.store(fn, std::memory_order_relaxed);
+  ctx_.store(ctx, std::memory_order_relaxed);
+  begin_.store(begin, std::memory_order_relaxed);
+  end_.store(end, std::memory_order_relaxed);
+  step_.store(step, std::memory_order_relaxed);
+  done_.store(0, std::memory_order_relaxed);
+  const std::uint64_t seq = (claim_.load(std::memory_order_relaxed) >> 32) + 1;
+  claim_.store(seq << 32 | count << 16, std::memory_order_release);
+
+  // The bump releases the claim word to every worker that sees it; a
+  // worker still on its way to sleep sees it without the wake.
+  epoch_.fetch_add(1, std::memory_order_release);
+  epoch_.notify_all();
+
+  run_chunks();
+  // Chunks other threads claimed may still be running; the body lives on
+  // this caller's stack, so the region ends only when they have finished.
+  for (unsigned i = 0; done_.load(std::memory_order_acquire) != count; ++i) {
+    if (i < kOwnerPolls) {
+      cpu_relax();
+    } else {
+      std::this_thread::yield();
+    }
   }
-  cv_.notify_one();
+  std::exception_ptr error;
+  if (failed_.load(std::memory_order_relaxed)) {
+    error = std::exchange(error_, nullptr);
+    failed_.store(false, std::memory_order_relaxed);
+  }
+  busy_.store(false, std::memory_order_release);
+  if (error) {
+    std::rethrow_exception(error);
+  }
+  return true;
+}
+
+void ThreadPool::run_chunks() {
+  std::uint64_t c = claim_.load(std::memory_order_acquire);
+  for (;;) {
+    const std::uint64_t next = c & kChunkMask;
+    if (next >= (c >> 16 & kChunkMask)) {
+      return;
+    }
+    const ChunkFn fn = fn_.load(std::memory_order_relaxed);
+    void* const ctx = ctx_.load(std::memory_order_relaxed);
+    const std::size_t begin = begin_.load(std::memory_order_relaxed);
+    const std::size_t end = end_.load(std::memory_order_relaxed);
+    const std::size_t step = step_.load(std::memory_order_relaxed);
+    // A failed exchange reloads c (another claim, or a newer region) and
+    // the fields are read again.
+    if (!claim_.compare_exchange_weak(c, c + 1, std::memory_order_acq_rel,
+                                      std::memory_order_acquire)) {
+      continue;
+    }
+    const std::size_t lo = begin + static_cast<std::size_t>(next) * step;
+    const std::size_t hi = std::min(end, lo + step);
+    if (!failed_.load(std::memory_order_relaxed)) {
+      try {
+        fn(ctx, lo, hi);
+      } catch (...) {
+        if (!failed_.exchange(true, std::memory_order_relaxed)) {
+          error_ = std::current_exception();
+        }
+      }
+    }
+    done_.fetch_add(1, std::memory_order_release);
+    c = claim_.load(std::memory_order_acquire);
+  }
 }
 
 void ThreadPool::worker_loop() {
+  // The epoch the pool was built with, not a fresh load: a worker that
+  // starts late must still see every region (and the shutdown) published
+  // since construction.
+  std::uint32_t seen = 0;
   for (;;) {
-    Job job;
-    std::size_t depth = 0;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (stopping_ && queue_.empty()) {
-        return;
-      }
-      job = std::move(queue_.front());
-      queue_.pop();
-      depth = queue_.size();
-      ++active_;
+    // Sleep at once, with no poll for the next region first: polling cost
+    // more CPU than the wakes it saved and did not lower latency
+    // (docs/performance.md).
+    epoch_.wait(seen, std::memory_order_acquire);
+    seen = epoch_.load(std::memory_order_acquire);
+    if (stopping_.load(std::memory_order_acquire)) {
+      return;
     }
-    // A job stamped at submit time was enqueued while telemetry was live;
-    // jobs submitted before enablement carry the epoch sentinel and are
-    // skipped rather than booked with a bogus multi-second wait.
-    const bool telem = telemetry::enabled() &&
-                       job.enqueued != std::chrono::steady_clock::time_point{};
-    std::chrono::steady_clock::time_point start;
-    if (telem) {
-      PoolMetrics& m = pool_metrics();
-      m.queue_depth.set(static_cast<double>(depth));
-      start = std::chrono::steady_clock::now();
-      m.wait_seconds.observe(
-          std::chrono::duration<double>(start - job.enqueued).count());
-    }
-    job.fn();
-    if (telem) {
-      PoolMetrics& m = pool_metrics();
-      m.tasks.add(1);
-      m.run_seconds.observe(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count());
-    }
-    {
-      std::lock_guard lock(mutex_);
-      --active_;
-      if (queue_.empty() && active_ == 0) {
-        idle_cv_.notify_all();
-      }
-    }
+    run_chunks();
   }
-}
-
-void ThreadPool::wait_idle() {
-  std::unique_lock lock(mutex_);
-  idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
 ThreadPool& global_pool() {
@@ -141,54 +180,9 @@ ThreadPool& global_pool() {
 
 namespace detail {
 
-bool pool_is_serial() { return global_pool().size() <= 1; }
-
 void note_for_inline() {
   if (telemetry::enabled()) {
     pool_metrics().for_inline.add(1);
-  }
-}
-
-void parallel_dispatch(std::size_t begin, std::size_t end,
-                       const std::function<void(std::size_t)>& fn,
-                       std::size_t grain) {
-  const std::size_t n = end - begin;
-  ThreadPool& pool = global_pool();
-  const std::size_t workers = pool.size();
-  if (telemetry::enabled()) {
-    pool_metrics().for_dispatched.add(1);
-  }
-
-  const std::size_t chunks = std::min(workers, (n + grain - 1) / grain);
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-
-  std::vector<std::future<void>> futs;
-  futs.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk_size;
-    const std::size_t hi = std::min(end, lo + chunk_size);
-    if (lo >= hi) {
-      break;
-    }
-    futs.push_back(pool.submit([lo, hi, &fn] {
-      for (std::size_t i = lo; i < hi; ++i) {
-        fn(i);
-      }
-    }));
-  }
-
-  std::exception_ptr first_error;
-  for (auto& f : futs) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first_error) {
-        first_error = std::current_exception();
-      }
-    }
-  }
-  if (first_error) {
-    std::rethrow_exception(first_error);
   }
 }
 

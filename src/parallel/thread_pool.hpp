@@ -1,21 +1,31 @@
-// A minimal work-stealing-free thread pool plus parallel_for.
+// A fork-join thread pool plus parallel_for.
 //
 // The sweeps in this project (per-layer dataflow analysis over five CNNs,
 // Monte-Carlo noise runs, activation-curve sweeps) are embarrassingly
-// parallel.  Following the OpenMP-examples idiom of static chunked loops,
-// `parallel_for` splits [begin, end) into contiguous chunks, one per worker,
-// which keeps each worker's writes on distinct cache lines for the common
-// "fill output[i]" pattern.
+// parallel, and so are the row groups of one large photonic layer.
+// `parallel_for` (and its range form, `parallel_for_ranges`) publishes one
+// *region* at a time: a range, a chunk size and a reference to the body.
+// The pool's workers and the calling thread claim contiguous chunks of it
+// through one atomic counter until none is left, so the caller's core works
+// too and dispatch allocates nothing.
+// Following the OpenMP-examples idiom of static chunked loops, a chunk is a
+// contiguous index range, which keeps each thread's writes on distinct
+// cache lines for the common "fill output[i]" pattern.
+//
+// Only one region runs at a time.  A call that finds the pool busy —
+// another thread's region, or its own from inside a body — runs its whole
+// range inline at once: it never queues and never waits, and nesting
+// cannot deadlock.  On a single-core host the pool has no workers and
+// every call runs inline.
 #pragma once
 
-#include <chrono>
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
-#include <functional>
-#include <future>
-#include <mutex>
-#include <queue>
+#include <cstdint>
+#include <exception>
+#include <memory>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -24,8 +34,14 @@ namespace trident {
 
 class ThreadPool {
  public:
-  /// Creates `threads` workers; 0 means hardware_concurrency (min 1).
-  explicit ThreadPool(std::size_t threads = 0);
+  /// Runs indices [lo, hi) of a region's range; `ctx` is the caller's body.
+  using ChunkFn = void (*)(void* ctx, std::size_t lo, std::size_t hi);
+
+  /// One worker per hardware thread besides the caller's, since the thread
+  /// that publishes a region works too; none on a single-core host.
+  ThreadPool();
+  /// Exactly `workers` workers.  A pool without any declines every region.
+  explicit ThreadPool(std::size_t workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -33,84 +49,106 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
-  /// Enqueue an arbitrary task; the future resolves with its result.
-  template <class F>
-  [[nodiscard]] auto submit(F&& f) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
-    std::future<R> fut = task->get_future();
-    enqueue([task] { (*task)(); });
-    return fut;
-  }
-
-  /// Blocks until all currently queued work has run.
-  void wait_idle();
+  /// Runs fn(ctx, lo, hi) over [begin, end) in contiguous chunks of about
+  /// `grain` or more indices, on the calling thread and the workers, and
+  /// returns true once every chunk has run.  Returns false at once, having
+  /// run nothing, when another region is live or the pool has no workers —
+  /// the caller then runs the range inline.  The first exception a chunk
+  /// throws is rethrown here after every claimed chunk has finished; chunks
+  /// claimed after it are skipped.
+  bool try_run(std::size_t begin, std::size_t end, std::size_t grain,
+               ChunkFn fn, void* ctx);
 
  private:
-  /// A queued task plus its submission time (stamped only while telemetry
-  /// is live, so the disabled path never reads the clock).
-  struct Job {
-    std::function<void()> fn;
-    std::chrono::steady_clock::time_point enqueued{};
-  };
-
-  /// Locks, stamps, pushes, and notifies — out of line so the submit
-  /// template (and every includer) stays free of telemetry headers.
-  void enqueue(std::function<void()> fn);
   void worker_loop();
+  /// Claims and runs chunks of the live region until none is left.
+  void run_chunks();
+
+  // The claim word packs the region's sequence number (high 32 bits), its
+  // chunk count (next 16) and the next unclaimed chunk (low 16).  A thread
+  // reads the region fields below only between loading the claim word and
+  // claiming through a compare-exchange on it, and the owner rewrites them
+  // only after every chunk has been claimed and run — so a claim that
+  // succeeds proves the fields it read belong to its region.  The fields
+  // are atomics because a late thread may read them while the next region
+  // is being published; its claim then fails and it reads them again.
+  std::atomic<std::uint64_t> claim_{0};
+  std::atomic<ChunkFn> fn_{nullptr};
+  std::atomic<void*> ctx_{nullptr};
+  std::atomic<std::size_t> begin_{0};
+  std::atomic<std::size_t> end_{0};
+  std::atomic<std::size_t> step_{1};
+  /// Chunks of the live region that have finished (run or skipped).
+  std::atomic<std::uint32_t> done_{0};
+  /// Set by the first chunk that throws; error_ is written by that chunk
+  /// alone, before its done_ increment, and read by the owner after all.
+  std::atomic<bool> failed_{false};
+  std::exception_ptr error_;
+  /// True while a region is live; the owner's exchange is the admission.
+  std::atomic<bool> busy_{false};
+
+  /// Bumped once per published region (and at shutdown); workers sleep on
+  /// it.
+  std::atomic<std::uint32_t> epoch_{0};
+  std::atomic<bool> stopping_{false};
 
   std::vector<std::thread> workers_;
-  std::queue<Job> queue_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::condition_variable idle_cv_;
-  std::size_t active_ = 0;
-  bool stopping_ = false;
 };
 
-/// Global pool shared by the simulator's sweeps (constructed on first use).
+/// Global pool shared by the simulator's sweeps and kernels (constructed on
+/// first dispatch, so a run whose loops all fit one grain never starts it).
 ThreadPool& global_pool();
 
 namespace detail {
-/// True when the pool has ≤ 1 worker — dispatch would serialize anyway.
-[[nodiscard]] bool pool_is_serial();
-/// Telemetry tick for an inline (non-dispatched) parallel_for run.
+/// Telemetry tick for a parallel_for run inline on the caller thread.
 void note_for_inline();
-/// Chunked dispatch across the pool: the allocating arm of parallel_for
-/// (futures + queue nodes).  Callers reach it through the template below,
-/// never directly.
-void parallel_dispatch(std::size_t begin, std::size_t end,
-                       const std::function<void(std::size_t)>& fn,
-                       std::size_t grain);
 }  // namespace detail
 
-/// Runs fn(i) for every i in [begin, end), split into contiguous chunks
-/// across the pool.  Exceptions from workers are propagated to the caller
-/// (first one wins).  Serial fallback for tiny ranges avoids task overhead
-/// — and, because the callable is invoked directly rather than through a
-/// std::function, an inline run performs no heap allocation at all (the
-/// plan runtime's steady-state zero-alloc guarantee rides on this).
+/// Runs fn(lo, hi) over contiguous subranges that together cover
+/// [begin, end) once each.  A range of more than `grain` indices is
+/// published as one region of the global pool, whose chunks of `grain` or
+/// more indices run across the caller and the workers; a smaller range, or
+/// one met while the pool runs another region or has no workers, runs as a
+/// single fn(begin, end) on the caller.  Exceptions are propagated to the
+/// caller (first one wins).  Neither arm allocates: the pool reaches the
+/// callable through a plain pointer, never a std::function (the plan
+/// runtime's steady-state zero-alloc guarantee rides on this).
+template <typename Fn>
+void parallel_for_ranges(std::size_t begin, std::size_t end, Fn&& fn,
+                         std::size_t grain = 1) {
+  TRIDENT_REQUIRE(begin <= end, "empty or inverted range");
+  if (begin == end) {
+    return;
+  }
+  using F = std::remove_reference_t<Fn>;
+  if (end - begin > grain) {
+    const ThreadPool::ChunkFn chunk = [](void* ctx, std::size_t lo,
+                                         std::size_t hi) {
+      (*static_cast<F*>(ctx))(lo, hi);
+    };
+    void* const ctx =
+        const_cast<void*>(static_cast<const void*>(std::addressof(fn)));
+    if (global_pool().try_run(begin, end, grain, chunk, ctx)) {
+      return;
+    }
+  }
+  detail::note_for_inline();
+  fn(begin, end);
+}
+
+/// Runs fn(i) for every i in [begin, end), split as parallel_for_ranges
+/// splits the range.
 template <typename Fn>
 void parallel_for(std::size_t begin, std::size_t end, Fn&& fn,
                   std::size_t grain = 1) {
-  TRIDENT_REQUIRE(begin <= end, "empty or inverted range");
-  const std::size_t n = end - begin;
-  if (n == 0) {
-    return;
-  }
-  if (n <= grain || detail::pool_is_serial()) {
-    detail::note_for_inline();
-    for (std::size_t i = begin; i < end; ++i) {
-      fn(i);
-    }
-    return;
-  }
-  // std::ref keeps the callable wrapper inside std::function's small-object
-  // buffer, so even the dispatch arm only allocates its futures/queue
-  // nodes, never the functor copy.
-  detail::parallel_dispatch(begin, end,
-                            std::function<void(std::size_t)>(std::ref(fn)),
-                            grain);
+  parallel_for_ranges(
+      begin, end,
+      [&fn](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          fn(i);
+        }
+      },
+      grain);
 }
 
 }  // namespace trident

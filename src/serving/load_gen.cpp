@@ -77,11 +77,13 @@ LoadReport run_poisson_load(
   }
 
   LatencyRecorder sojourn, queue_wait, service;
+  double service_sq_sum = 0.0;
   for (auto& f : futures) {
     const Response r = f.get();
     sojourn.record(r.timing.sojourn_s);
     queue_wait.record(r.timing.queue_wait_s);
     service.record(r.timing.service_s);
+    service_sq_sum += r.timing.service_s * r.timing.service_s;
   }
   const Clock::time_point end = Clock::now();
 
@@ -96,6 +98,10 @@ LoadReport run_poisson_load(
   report.sojourn = sojourn.summary();
   report.queue_wait = queue_wait.summary();
   report.service = service.summary();
+  if (!futures.empty()) {
+    report.service_mean_sq_s2 =
+        service_sq_sum / static_cast<double>(futures.size());
+  }
   return report;
 }
 

@@ -43,6 +43,9 @@ struct LoadReport {
   LatencySummary sojourn;
   LatencySummary queue_wait;
   LatencySummary service;
+  /// E[S²] of the per-request service times: with service.mean_s, what the
+  /// M/G/1 Pollaczek–Khinchine mean needs.
+  double service_mean_sq_s2 = 0.0;
 };
 
 /// Offers `config.requests` Poisson arrivals to `server` and blocks until

@@ -8,9 +8,12 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <vector>
 
 #include "common/error.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace trident::nn {
 namespace {
@@ -260,41 +263,96 @@ TEST(PackedPanel, EveryTileAndRemainderBitIdenticalToSaturatedMatvec) {
   // Rows cover a partial group, exact groups and leftover groups after the
   // tallest tiles (70 = 8 + 1 groups, which also crosses the pool-dispatch
   // threshold at B ≥ 32); fan-in covers 1, odd and past 256; B = 1..33
-  // covers every sample tile and remainder on every ISA tier.  Weights
+  // covers every sample tile and remainder on every ISA tier.  The large
+  // shapes reach the row-group split of calls narrower than one 16-sample
+  // block (B = 1..15 and the one-sample tail of B = 17), with a partial
+  // last group in the last chunk; B = 16 and 32 run whole blocks.  Weights
   // reach ±2, so the packing saturation is exercised; outputs compare
   // with ==, not a tolerance.
   Rng rng(0x9AC4u);
-  for (const std::size_t rows : {1u, 7u, 8u, 9u, 10u, 25u, 70u}) {
-    for (const std::size_t cols : {1u, 3u, 257u}) {
-      Matrix w(rows, cols);
-      for (double& v : w.data()) {
-        v = rng.uniform(-2.0, 2.0);
-      }
-      Matrix saturated = w;
-      for (double& v : saturated.data()) {
-        v = std::clamp(v, -1.0, 1.0);
-      }
-      const PackedPanel panel(w);
-      ASSERT_EQ(panel.rows(), rows);
-      ASSERT_EQ(panel.cols(), cols);
-      Vector xb(cols);
-      for (std::size_t batch = 1; batch <= 33; ++batch) {
-        const Matrix x = random_matrix(batch, cols, rng);
-        Matrix y(batch, rows);
-        panel.matmul_into(x, y);
-        for (std::size_t b = 0; b < batch; ++b) {
-          const auto row = x.row(b);
-          std::copy(row.begin(), row.end(), xb.begin());
-          const Vector want = saturated.matvec(xb);
-          for (std::size_t r = 0; r < rows; ++r) {
-            ASSERT_EQ(y.at(b, r), want[r])
-                << rows << "x" << cols << " B=" << batch << " sample " << b
-                << " row " << r;
-          }
+  auto check = [&rng](std::size_t rows, std::size_t cols,
+                      const std::vector<std::size_t>& batches) {
+    Matrix w(rows, cols);
+    for (double& v : w.data()) {
+      v = rng.uniform(-2.0, 2.0);
+    }
+    Matrix saturated = w;
+    for (double& v : saturated.data()) {
+      v = std::clamp(v, -1.0, 1.0);
+    }
+    const PackedPanel panel(w);
+    ASSERT_EQ(panel.rows(), rows);
+    ASSERT_EQ(panel.cols(), cols);
+    // Every batch is a prefix of one input, so each sample's reference
+    // matvec runs once.
+    const std::size_t most = *std::max_element(batches.begin(), batches.end());
+    const Matrix x = random_matrix(most, cols, rng);
+    std::vector<Vector> want(most);
+    Vector xb(cols);
+    for (std::size_t b = 0; b < most; ++b) {
+      const auto row = x.row(b);
+      std::copy(row.begin(), row.end(), xb.begin());
+      want[b] = saturated.matvec(xb);
+    }
+    for (const std::size_t batch : batches) {
+      Matrix xp(batch, cols);
+      std::copy_n(x.data().begin(), batch * cols, xp.data().begin());
+      Matrix y(batch, rows);
+      panel.matmul_into(xp, y);
+      for (std::size_t b = 0; b < batch; ++b) {
+        for (std::size_t r = 0; r < rows; ++r) {
+          ASSERT_EQ(y.at(b, r), want[b][r])
+              << rows << "x" << cols << " B=" << batch << " sample " << b
+              << " row " << r;
         }
       }
     }
+  };
+  std::vector<std::size_t> every(33);
+  std::iota(every.begin(), every.end(), std::size_t{1});
+  for (const std::size_t rows : {1u, 7u, 8u, 9u, 10u, 25u, 70u}) {
+    for (const std::size_t cols : {1u, 3u, 257u}) {
+      check(rows, cols, every);
+    }
   }
+  std::vector<std::size_t> split(17);
+  std::iota(split.begin(), split.end(), std::size_t{1});
+  split.push_back(32);
+  for (const std::size_t rows : {1016u, 1024u, 1025u}) {
+    for (const std::size_t cols : {512u, 513u}) {
+      check(rows, cols, split);
+    }
+  }
+}
+
+TEST(PackedPanel, OnlyLargeCallsNarrowerThanABlockSplit) {
+  // The split rule reads the call's shape alone: at least two
+  // 262,144-MAC grains of samples narrower than one 16-sample block.
+  // 1024 × 512 × 1 is exactly two grains and splits; the serving model's
+  // widest layer at B = 15 (128 × 64 × 15) and a full block of the large
+  // layer do not reach the pool.
+  if (!telemetry::compiled_in()) {
+    GTEST_SKIP() << "built with -DTRIDENT_TELEMETRY=OFF";
+  }
+  telemetry::Counter& dispatched =
+      telemetry::MetricsRegistry::global().counter(
+          "trident_pool_parallel_for_dispatched_total");
+  const bool was_enabled = telemetry::enabled();
+  telemetry::set_enabled(true);
+  auto dispatches = [&](std::size_t rows, std::size_t cols,
+                        std::size_t batch) {
+    const PackedPanel panel(Matrix(rows, cols));
+    Matrix y(batch, rows);
+    const std::uint64_t before = dispatched.value();
+    panel.matmul_into(Matrix(batch, cols), y);
+    return dispatched.value() - before;
+  };
+  EXPECT_EQ(dispatches(1024, 512, 1), 1u);
+  EXPECT_EQ(dispatches(512, 1024, 15), 1u);
+  EXPECT_EQ(dispatches(1024, 511, 1), 0u);
+  EXPECT_EQ(dispatches(128, 64, 15), 0u);
+  EXPECT_EQ(dispatches(1024, 512, 16), 0u);
+  telemetry::set_enabled(was_enabled);
 }
 
 TEST(PackedPanel, ShapeMismatchThrows) {

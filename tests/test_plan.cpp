@@ -165,10 +165,11 @@ TEST(PlanBitIdentity, FusedPathGridMismatchFallsBackAndStaysExact) {
 
 // --- zero steady-state allocation -------------------------------------------
 
-/// Widths stay ≤ 32 so the GEMM grain keeps every kernel inline (no thread
-/// pool dispatch); that is the regime the zero-allocation contract covers
-/// (docs/performance.md).  Telemetry must be off (the default) — spans
-/// allocate.
+/// Widths stay ≤ 32 so the GEMM grain keeps every kernel inline; the large
+/// model's layers split their narrow calls and dispatch B = 32's two full
+/// blocks across the thread pool.  The zero-allocation contract covers
+/// both regimes (docs/performance.md).  Telemetry must be off (the
+/// default) — spans allocate.
 Mlp small_model() {
   Rng rng(0x7157u);
   return Mlp({16, 32, 24, 8}, Activation::kReLU, rng);
@@ -177,13 +178,14 @@ Mlp small_model() {
 template <typename Backend>
 void expect_zero_steady_state_allocs(
     Backend& backend, const std::string& what,
-    const std::vector<std::size_t>& batches = serving_batches()) {
+    const std::vector<std::size_t>& batches = serving_batches(),
+    const Mlp& model = small_model()) {
   ASSERT_FALSE(telemetry::enabled());
-  const Mlp model = small_model();
   const auto plan = ExecutionPlan::compile(model);
   PlanArena arena;
+  const auto width = static_cast<std::size_t>(model.layer_sizes().front());
   for (const std::size_t batch : batches) {
-    const Matrix x = seeded_batch(batch, 16, 0x1234u + batch);
+    const Matrix x = seeded_batch(batch, width, 0x1234u + batch);
     (void)plan->run(backend, x, arena);  // warm-up: arena grows here
     (void)plan->run(backend, x, arena);
     const std::uint64_t before =
@@ -206,6 +208,19 @@ TEST(PlanZeroAlloc, PhotonicBackendSteadyState) {
   bc.readout_noise = 0.05;  // the noisy loop must not allocate either
   core::PhotonicBackend backend(bc);
   expect_zero_steady_state_allocs(backend, "photonic");
+}
+
+TEST(PlanZeroAlloc, PhotonicBackendSplitAcrossThePoolSteadyState) {
+  // The edge-serving model: its 1024 × 512 and 512 × 1024 layers split
+  // every batch narrower than 16 across the pool, and B = 32 dispatches
+  // two full blocks.  The region allocates nothing once the pool exists.
+  Rng rng(0x1A29u);
+  const Mlp model({512, 1024, 512, 10}, Activation::kReLU, rng);
+  core::PhotonicBackendConfig bc;
+  bc.readout_noise = 0.05;
+  core::PhotonicBackend backend(bc);
+  expect_zero_steady_state_allocs(backend, "photonic split",
+                                  serving_batches(), model);
 }
 
 TEST(PlanZeroAlloc, QuantizedBackendSteadyState) {
