@@ -50,7 +50,7 @@ using namespace trident;
 
 /// Mean per-request service time of `model` on one warm replica: `iters`
 /// single-row runs of the compiled plan through a warm arena — the forward
-/// a replica serves a batch of one with (ServerConfig::use_plan).
+/// a replica serves a batch of one with.
 [[nodiscard]] double calibrate_service_s(const nn::Mlp& model,
                                          const core::PhotonicBackendConfig& cfg,
                                          int iters) {

@@ -279,10 +279,11 @@ void BM_PhotonicBackendMatmul(benchmark::State& state) {
 BENCHMARK(BM_PhotonicBackendMatmul)->ArgsProduct({{64, 256}, {8, 32}});
 
 void BM_QuantizedBackendMatmul(benchmark::State& state) {
-  // End-to-end fast tier at the same shapes as BM_PhotonicBackendMatmul:
-  // per-sample DAC quantize + packed int8 GEMM + scale-out, with the weight
-  // panel compiled once and served from the plan cache thereafter (the
-  // fingerprint re-hash is part of the steady-state cost on purpose).
+  // Per-op fast tier at the same shapes as BM_PhotonicBackendMatmul:
+  // weight quantize + per-sample DAC quantize + int8 GEMM + scale-out.  The
+  // weights are quantized on every call, as PhotonicBackend::matmul packs
+  // its panel on every call; serving streams a compiled plan's panel
+  // instead (BM_MlpForwardPlan*).
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto batch = static_cast<std::size_t>(state.range(1));
   core::QuantizedBackend backend;

@@ -4,41 +4,32 @@
 // GST cells hold one of 255 levels, the modulator DAC is 8-bit — so a
 // noise-free forward pass never needs double-precision device math: the
 // whole computation collapses to integer level arithmetic plus one scale
-// multiply per output.  This module ships that observation as two tiers:
+// multiply per output.  QuantizedBackend ships that observation as a
+// drop-in nn::MatvecBackend executed through the blocked multi-ISA int8
+// GEMM kernels (src/nn/int8_gemm) with exact int32 accumulation.  Ledger
+// accounting mirrors PhotonicBackend call for call — level reads, program
+// events, symbol counts — so energy books and the chaos conservation
+// invariants keep holding.
 //
-//   * QuantizedBackend — a drop-in nn::MatvecBackend: weight matrices are
-//     compiled once into pre-packed int8 level panels (cached by address,
-//     guarded by a content fingerprint) and executed through the blocked
-//     multi-ISA int8 GEMM kernels (src/nn/int8_gemm) with exact int32
-//     accumulation.  Ledger accounting mirrors PhotonicBackend call for
-//     call — level reads, program events, symbol counts — so energy books
-//     and the chaos conservation invariants keep holding.
+// Serving runs one forward: run_plan streams the int8 level panels a
+// compiled nn::ExecutionPlan holds.  The per-op matmul entry points
+// (training, tests, reference runs) quantize the weights on every call,
+// the way PhotonicBackend::matmul packs its panel on every call, so an
+// in-place weight change is always seen.
 //
-//   * QuantizedProgram — the fully fused plan: one compile walk of an Mlp
-//     precomputes per-layer weight panels AND per-layer int8→int8
-//     activation tables (LDSU threshold + GST slope + requantization folded
-//     into one 256-entry lookup, built from the device LUTs in
-//     src/photonics/device_lut), so inference never leaves integers
-//     between layers.  Per-layer activation ranges are calibrated from a
-//     reference forward pass, which yields a *provable* output error bound
-//     against the double-precision reference (`unit_error_bound`).
-//
-// Error-bound contract: for inputs whose per-layer activations stay inside
-// the calibrated envelope (`saturated == false`), every fast-tier output
-// differs from the FloatBackend reference by at most the reported bound —
-// a closed-form function of the SymmetricQuantizer step sizes.  The zoo
-// equivalence tests assert exactly this, plus top-1 agreement.
+// Error-bound contract: per layer, every output differs from the
+// FloatBackend reference by at most `matmul_error_bound` — a closed-form
+// function of the SymmetricQuantizer step sizes.  run_plan equals matmul
+// layer by layer bit for bit, so the bound holds on the served path too.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/quantize.hpp"
 #include "core/photonic_backend.hpp"
 #include "nn/matrix.hpp"
 #include "nn/mlp.hpp"
-#include "photonics/device_lut.hpp"
 
 namespace trident::core {
 
@@ -60,8 +51,7 @@ class QuantizedBackend final : public nn::MatvecBackend {
   [[nodiscard]] nn::Vector matvec_transposed(const nn::Matrix& w,
                                              const nn::Vector& x) override;
   /// In-situ SGD step on the weight grid — same deterministic semantics as
-  /// a noise-free PhotonicBackend (sub-LSB updates are lost), and the
-  /// compiled panel for `w` is invalidated.
+  /// a noise-free PhotonicBackend (sub-LSB updates are lost).
   void rank1_update(nn::Matrix& w, const nn::Vector& dh,
                     const nn::Vector& y_prev, double lr) override;
 
@@ -74,11 +64,10 @@ class QuantizedBackend final : public nn::MatvecBackend {
                                              const nn::Matrix& x) override;
 
   /// Fused plan execution: streams the plan's pre-packed int8 panels
-  /// through int8_gemm with arena-resident scratch — no per-lookup content
-  /// fingerprint (plan immutability replaces it) and zero steady-state
+  /// through int8_gemm with arena-resident scratch and zero steady-state
   /// heap allocation.  Only taken when the plan's weight grid matches this
-  /// backend's (otherwise the per-op interpreter runs, which re-packs at
-  /// the right grid through plan_for); outputs and ledger counters are
+  /// backend's (otherwise the per-op interpreter runs, which quantizes at
+  /// the right grid in matmul); outputs and ledger counters are
   /// bit-identical to Mlp::forward_batch through matmul either way.
   bool run_plan(const nn::ExecutionPlan& plan, const nn::Matrix& x,
                 nn::PlanArena& arena) override;
@@ -113,96 +102,17 @@ class QuantizedBackend final : public nn::MatvecBackend {
   }
 
  private:
-  /// Pre-packed int8 level panel of one weight matrix.  Keyed by matrix
-  /// address but guarded by a content fingerprint: weight hot-swap copies
-  /// new values into the SAME buffers (and rank-1 updates mutate them in
-  /// place), so the address alone can go stale — every lookup re-hashes.
-  struct WeightPlan {
-    std::size_t rows = 0;
-    std::size_t cols = 0;
-    std::uint64_t fingerprint = 0;
-    std::vector<std::int8_t> levels;  ///< row-major rows×cols
-  };
-
-  [[nodiscard]] const WeightPlan& plan_for(const nn::Matrix& w);
+  /// Quantizes `w` onto the weight grid into levels_ (grow-only: calls
+  /// reuse its storage) and returns the row-major panel.
+  [[nodiscard]] const std::int8_t* quantize_weights(const nn::Matrix& w);
   void ensure_programmed(const nn::Matrix& w);
 
   QuantizedBackendConfig config_;
   SymmetricQuantizer weight_quantizer_;
   SymmetricQuantizer input_quantizer_;
   PhotonicLedger ledger_;
-  std::unordered_map<const void*, WeightPlan> plans_;
+  std::vector<std::int8_t> levels_;  ///< per-call weight panel (row-major)
   const void* resident_matrix_ = nullptr;
 };
-
-/// Fully fused compiled inference plan for one Mlp: per-layer int8 weight
-/// panels plus per-layer int8→int8 activation tables.  Compilation walks the
-/// model once with the double reference over `calibration` (per-sample
-/// normalised, like the DAC does) to size each layer's pre-activation and
-/// activation grids; `range_margin` widens them so same-distribution inputs
-/// do not saturate.
-class QuantizedProgram {
- public:
-  QuantizedProgram(const nn::Mlp& model, const nn::Matrix& calibration,
-                   const QuantizedBackendConfig& config = {},
-                   double range_margin = 1.5);
-
-  /// Fused forward: returns the output logits (batch × out).  Integers flow
-  /// between layers; the only per-element float work is the int32→int8
-  /// requantization at each layer boundary and the final logit scaling.
-  /// If `saturated` is non-null, it reports whether any intermediate left
-  /// its calibrated range (the error bound only binds when false).
-  [[nodiscard]] nn::Matrix forward(const nn::Matrix& x,
-                                   bool* saturated = nullptr) const;
-
-  /// Output-logit error bound versus the FloatBackend reference, for a
-  /// sample whose DAC scale was 1 (multiply by the per-sample scale
-  /// max(1, max|x|) for arbitrary inputs).  Derived purely from quantizer
-  /// step sizes, layer fan-ins, calibrated ranges, and activation Lipschitz
-  /// constants — computed once at compile time.
-  [[nodiscard]] double unit_error_bound() const { return unit_bound_; }
-
-  [[nodiscard]] int depth() const { return static_cast<int>(layers_.size()); }
-  [[nodiscard]] const QuantizedBackendConfig& config() const {
-    return config_;
-  }
-
- private:
-  struct FusedLayer {
-    std::size_t rows = 0;
-    std::size_t cols = 0;
-    std::vector<std::int8_t> weights;  ///< packed levels, row-major
-    double w_step = 0.0;               ///< weight-grid step
-    double in_step = 0.0;   ///< value of one input level (prev grid step)
-    double h_range = 0.0;   ///< calibrated pre-activation range
-    double h_step = 0.0;    ///< pre-activation grid step (8-bit LDSU)
-    int h_half_steps = 0;
-    double out_step = 0.0;  ///< value of one output level (next grid step)
-    phot::ActivationLut lut;  ///< h level → next-layer input level
-    bool has_lut = false;     ///< false on the (identity) output layer
-  };
-
-  QuantizedBackendConfig config_;
-  std::vector<FusedLayer> layers_;
-  double unit_bound_ = 0.0;
-};
-
-/// Fast-vs-exact audit of one model: runs the double reference and the fused
-/// int8 tier over `eval` (calibrating the program on `calibration`) and
-/// reports both outputs, the per-sample bound, and agreement statistics.
-/// The error-bound contract the tests pin down is:
-///   !saturated  ⇒  max_abs_error ≤ max over samples of bound.
-struct FastPathReport {
-  nn::Matrix exact;           ///< reference logits (batch × out)
-  nn::Matrix fast;            ///< fused-tier logits (batch × out)
-  std::vector<double> bound;  ///< per-sample error bound
-  double max_abs_error = 0.0;
-  double top1_agreement = 1.0;  ///< fraction of samples with matching argmax
-  bool saturated = false;
-};
-
-[[nodiscard]] FastPathReport check_fast_path(
-    const nn::Mlp& model, const nn::Matrix& calibration,
-    const nn::Matrix& eval, const QuantizedBackendConfig& config = {});
 
 }  // namespace trident::core

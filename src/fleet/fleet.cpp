@@ -110,10 +110,8 @@ Fleet::Fleet(const nn::Mlp& model, const FleetConfig& config)
   TRIDENT_REQUIRE(config.node.initial_plan == nullptr,
                   "FleetConfig::node.initial_plan must be null (the fleet "
                   "compiles one shared plan for all nodes)");
-  if (config_.node.use_plan) {
-    init_plan_ = nn::ExecutionPlan::compile(
-        model_, serving::Server::plan_config_for(config_.node));
-  }
+  init_plan_ = nn::ExecutionPlan::compile(
+      model_, serving::Server::plan_config_for(config_.node));
   {
     std::lock_guard lock(nodes_mutex_);
     for (int i = 0; i < config.initial_nodes; ++i) {

@@ -258,8 +258,7 @@ class Fleet {
   FleetConfig config_;
   nn::Mlp model_;
   /// One plan compiled at construction and shared by every node's version-0
-  /// publication (via ServerConfig::initial_plan).  Null when the node
-  /// config disables plan serving.
+  /// publication (via ServerConfig::initial_plan).
   std::shared_ptr<const nn::ExecutionPlan> init_plan_;
   Router router_;
   Autoscaler autoscaler_;

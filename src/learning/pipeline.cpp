@@ -278,12 +278,9 @@ std::uint64_t LearningPipeline::publish_canary() {
   // Compile the candidate's plan here, off the serving path: canary_start
   // would otherwise build it itself, and on promotion the same plan object
   // carries straight into the incumbent publication without a recompile.
-  std::shared_ptr<const nn::ExecutionPlan> plan;
-  if (server_.config().use_plan) {
-    plan = nn::ExecutionPlan::compile(shadow_, server_.plan_config());
-  }
   const std::uint64_t seq = server_.canary_start(
-      shadow_, config_.canary.traffic_percent, std::move(plan));
+      shadow_, config_.canary.traffic_percent,
+      nn::ExecutionPlan::compile(shadow_, server_.plan_config()));
   if (seq == 0) {
     return 0;
   }

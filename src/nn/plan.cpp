@@ -87,8 +87,8 @@ ExecutionPlan::ExecutionPlan(const Mlp& model, const PlanConfig& config)
     // Photonic panel: the saturated packing legacy matmul makes per call,
     // done once here.
     layer.packed = PackedPanel(layer.weights);
-    // Quantized panel: same packing as QuantizedBackend::plan_for
-    // (to_level saturates outside [-1, 1], which doubles as the clamp).
+    // Quantized panel: the levels QuantizedBackend::matmul quantizes per
+    // call (to_level saturates outside [-1, 1], which doubles as the clamp).
     layer.levels.resize(layer.weights.size());
     wq.to_levels(layer.weights.data(), layer.levels);
     layers_.push_back(std::move(layer));

@@ -9,20 +9,20 @@
 //     layer (hidden activation for k < depth-1, identity for the output —
 //     the LDSU firing pattern);
 //   * pre-packed weight panels: the double panel (the exact tier), the
-//     [-1, 1]-saturated PackedPanel the photonic tier streams (legacy
-//     matmul saturates and packs a fresh one per call), and the int8 level
-//     panel the quantized tier streams through int8_gemm (legacy
-//     re-fingerprints the weight buffer on every lookup);
+//     [-1, 1]-saturated PackedPanel the photonic tier streams, and the int8
+//     level panel the quantized tier streams through int8_gemm (the per-op
+//     matmul of either backend packs or quantizes a fresh one per call);
 //   * arena extents, so a PlanArena sized once at adoption serves every
 //     later batch with zero steady-state heap allocation.
 //
 // Plans are immutable after construction and carry a process-wide monotone
 // id, so concurrent replicas share one plan by shared_ptr and hot-swap is
-// "publish a new plan", never "mutate the old one".  Execution dispatches
-// to MatvecBackend::run_plan; backends without a fused path fall back to a
-// per-op interpretation that issues exactly one matmul per layer — the
-// same op sequence as Mlp::forward_batch, so decorated backends (chaos
-// fault injection, counting shims) observe identical calls.
+// "publish a new plan", never "mutate the old one".  The plan is the
+// serving runtime's only path and its only copy of the weights.  Execution
+// dispatches to MatvecBackend::run_plan; backends without a fused path fall
+// back to a per-op interpretation that issues exactly one matmul per layer
+// — the same op sequence as Mlp::forward_batch, so decorated backends
+// (chaos fault injection, counting shims) observe identical calls.
 //
 // Bit-identity contract (docs/performance.md): for a given backend and
 // input block, Plan::run produces the same output bits, the same RNG draw

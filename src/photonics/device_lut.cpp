@@ -7,24 +7,6 @@
 
 namespace trident::phot {
 
-GstTransmissionLut build_gst_transmission_lut(const GstCellParams& params) {
-  TRIDENT_REQUIRE(params.levels >= 2, "GST LUT needs at least two levels");
-  GstTransmissionLut lut;
-  lut.intensity.resize(static_cast<std::size_t>(params.levels));
-  lut.amplitude.resize(static_cast<std::size_t>(params.levels));
-  // Probe cell: programming it through every level reproduces the exact
-  // effective-medium interpolation the per-ring simulation computes.  The
-  // probe is discarded, so its pulse accounting bills nothing real.
-  GstCell probe(params);
-  for (int l = 0; l < params.levels; ++l) {
-    probe.program(l);
-    lut.intensity[static_cast<std::size_t>(l)] = probe.transmittance();
-    lut.amplitude[static_cast<std::size_t>(l)] =
-        probe.amplitude_transmittance();
-  }
-  return lut;
-}
-
 MrrWeightLut build_mrr_weight_lut(const MrrDesign& design,
                                   units::Length resonance,
                                   const GstCellParams& gst) {
@@ -70,25 +52,6 @@ int MrrWeightLut::nearest_level(double target) const {
     }
   }
   return best;
-}
-
-ActivationLut build_activation_lut(const std::function<double(double)>& f,
-                                   const SymmetricQuantizer& in,
-                                   const SymmetricQuantizer& out) {
-  TRIDENT_REQUIRE(in.bits() <= 8 && out.bits() <= 8,
-                  "activation LUT grids must fit int8");
-  ActivationLut lut;
-  const int half = (in.levels() - 1) / 2;
-  for (int raw = -128; raw <= 127; ++raw) {
-    // Byte patterns outside the input grid (|level| > half_steps, incl.
-    // -128 which no ≤8-bit symmetric grid produces) saturate to the edge.
-    const int level = std::clamp(raw, -half, half);
-    const std::int8_t result =
-        static_cast<std::int8_t>(out.to_level(f(in.from_level(level))));
-    lut.table[static_cast<std::uint8_t>(static_cast<std::int8_t>(raw))] =
-        result;
-  }
-  return lut;
 }
 
 }  // namespace trident::phot

@@ -1,41 +1,21 @@
-// Compiled device-model lookup tables for the quantized inference tier.
+// Compiled device-model lookup table of the MRR weight read-out.
 //
-// The device physics only ever sees 255 discrete GST levels, so every
-// transfer function the hot path needs — GST level → transmittance, the
-// MRR/balanced-photodetector read-out of a programmed ring, and the LDSU
-// threshold + activation response — can be evaluated ONCE per level at
-// compile time and served from a table afterwards.  The builders below
-// walk the same device models the functional simulation uses (GstCell,
-// Mrr::response), so every table entry is bit-identical to what the
-// per-ring simulation would have computed; the tests pin the MRR table
-// against WeightBank's self-calibration sweep.
+// The device physics only ever sees 255 discrete GST levels, so the
+// MRR/balanced-photodetector read-out of a programmed ring can be evaluated
+// ONCE per level and served from a table afterwards.  The builder walks the
+// same device models the functional simulation uses (GstCell,
+// Mrr::response), so every entry is bit-identical to what the per-ring
+// simulation would have computed; the tests pin the table against
+// WeightBank's self-calibration sweep.
 #pragma once
 
-#include <array>
-#include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "common/quantize.hpp"
 #include "common/units.hpp"
 #include "photonics/gst.hpp"
 #include "photonics/mrr.hpp"
 
 namespace trident::phot {
-
-/// GST level → transmittance, both intensity (power) and amplitude (field)
-/// flavours.  Index = programmed level, 0 = fully crystalline.
-struct GstTransmissionLut {
-  std::vector<double> intensity;
-  std::vector<double> amplitude;
-
-  [[nodiscard]] int levels() const {
-    return static_cast<int>(intensity.size());
-  }
-};
-
-[[nodiscard]] GstTransmissionLut build_gst_transmission_lut(
-    const GstCellParams& params = {});
 
 /// GST level → realised weight of one add-drop ring read on resonance by
 /// the balanced photodetector (drop − through), plus the normalisation
@@ -58,28 +38,5 @@ struct MrrWeightLut {
 [[nodiscard]] MrrWeightLut build_mrr_weight_lut(const MrrDesign& design,
                                                 units::Length resonance,
                                                 const GstCellParams& gst = {});
-
-/// int8 → int8 per-element activation table: input level on the `in`
-/// grid → output level on the `out` grid after applying `f` to the
-/// reconstructed value.  Folding the LDSU comparator threshold, the GST
-/// activation slope, and the requantization into one 256-entry table makes
-/// the fused inference path never leave integers between layers; because
-/// the tier's activations are piecewise linear and the grids symmetric,
-/// the table is EXACT on every representable input — no interpolation
-/// error on top of quantization.
-struct ActivationLut {
-  std::array<std::int8_t, 256> table{};
-
-  [[nodiscard]] std::int8_t operator()(std::int8_t level) const {
-    return table[static_cast<std::uint8_t>(level)];
-  }
-};
-
-/// `f` is the real-valued activation (e.g. the LDSU threshold + 0.34 GST
-/// slope); `in`/`out` carry both the bit widths and the physical ranges,
-/// so any static per-layer scaling folds into the table for free.
-[[nodiscard]] ActivationLut build_activation_lut(
-    const std::function<double(double)>& f, const SymmetricQuantizer& in,
-    const SymmetricQuantizer& out);
 
 }  // namespace trident::phot

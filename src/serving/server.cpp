@@ -175,7 +175,6 @@ ServerMetrics& server_metrics() {
 
 Server::Server(const nn::Mlp& model, const ServerConfig& config)
     : config_(config),
-      model_(model),
       input_dim_(model.layer_sizes().front()),
       queue_(config.admission) {
   TRIDENT_REQUIRE(config.replicas >= 1, "need at least one replica");
@@ -190,29 +189,25 @@ Server::Server(const nn::Mlp& model, const ServerConfig& config)
                   "max_restarts must be non-negative");
   // Version 0 = the init model; hot_swap bumps from here.  Publishing it
   // up front means restarts and adoption checks never see a null pointer.
-  // The plan rides every publication: a shared one when the caller
-  // pre-compiled (fleet), compiled here otherwise.
-  std::shared_ptr<const nn::ExecutionPlan> plan;
-  if (config_.use_plan) {
-    if (config_.initial_plan != nullptr) {
-      TRIDENT_REQUIRE(config_.initial_plan->matches(model),
-                      "initial_plan does not match the serving model");
-      TRIDENT_REQUIRE(config_.initial_plan->config().weight_bits ==
-                          plan_config().weight_bits,
-                      "initial_plan weight grid does not match the server");
-      plan = config_.initial_plan;
-    } else {
-      plan = compile_plan(model);
-    }
+  // The plan is the publication: a shared one when the caller pre-compiled
+  // (fleet), compiled here otherwise.
+  std::shared_ptr<const nn::ExecutionPlan> plan = config_.initial_plan;
+  if (plan != nullptr) {
+    TRIDENT_REQUIRE(plan->matches(model),
+                    "initial_plan does not match the serving model");
+    TRIDENT_REQUIRE(plan->config().weight_bits == plan_config().weight_bits,
+                    "initial_plan weight grid does not match the server");
+  } else {
+    plan = nn::ExecutionPlan::compile(model, plan_config());
   }
   published_ = std::make_shared<const PublishedModel>(
-      PublishedModel{0, model, now_ns(), plan});
+      PublishedModel{0, now_ns(), plan});
   if (config_.flight.enabled) {
     flight_ = std::make_unique<FlightRecorder>(config_.flight);
   }
   replicas_.reserve(static_cast<std::size_t>(config.replicas));
   for (int r = 0; r < config.replicas; ++r) {
-    auto replica = std::make_unique<Replica>(r, model);
+    auto replica = std::make_unique<Replica>(r);
     replica->backend = make_backend(r, 0);
     replica->plan = plan;
     replicas_.push_back(std::move(replica));
@@ -422,7 +417,7 @@ bool Server::serve_batch(Replica& replica, std::vector<Request>& batch) {
   // mix of the two weight sets.  kFast degrades to exact — counted, and
   // visible in the response — when the replica has no quantized tier.
   const bool canary_live =
-      replica.canary_seen != 0 && replica.canary_model.has_value();
+      replica.canary_seen != 0 && replica.canary_plan != nullptr;
   const std::uint32_t percent = canary_live ? replica.canary_percent : 0;
   struct Group {
     std::vector<Request> requests;
@@ -456,20 +451,15 @@ bool Server::serve_batch(Replica& replica, std::vector<Request>& batch) {
     if (group.requests.empty()) {
       continue;
     }
-    const nn::Mlp& model =
-        group.canary ? *replica.canary_model : replica.model;
     nn::MatvecBackend& backend = group.tier == ServingTier::kFast
                                      ? *replica.backend.fast
                                      : *replica.backend.backend;
-    // The plan travels with the weights it was compiled from: a canary group
-    // runs the canary's plan, never the incumbent's, and a null plan (plan
-    // serving off, or a snapshot-restored replica whose weights predate the
-    // published plan) falls back to the per-op path.
-    const nn::ExecutionPlan* plan =
-        group.canary ? replica.canary_plan.get() : replica.plan.get();
+    // A canary group runs the canary's plan, never the incumbent's.
+    const nn::ExecutionPlan& plan =
+        group.canary ? *replica.canary_plan : *replica.plan;
     const std::uint64_t version =
         group.canary ? replica.canary_seen : replica.weights_seen;
-    if (!serve_group(replica, group.requests, model, plan, backend, group.tier,
+    if (!serve_group(replica, group.requests, plan, backend, group.tier,
                      group.canary, version, formed, n)) {
       // Hardware died under this pass: the rest of the batch has nowhere
       // to run on this replica either — requeue it alongside.
@@ -488,7 +478,7 @@ bool Server::serve_batch(Replica& replica, std::vector<Request>& batch) {
 }
 
 bool Server::serve_group(Replica& replica, std::vector<Request>& group,
-                         const nn::Mlp& model, const nn::ExecutionPlan* plan,
+                         const nn::ExecutionPlan& plan,
                          nn::MatvecBackend& backend, ServingTier served,
                          bool canary_arm, std::uint64_t served_version,
                          Clock::time_point formed, std::size_t cut_size) {
@@ -504,9 +494,9 @@ bool Server::serve_group(Replica& replica, std::vector<Request>& group,
 
     // The batch span adopts the head request's trace (a batch serves many
     // traces; the head names the tree it renders under), and the TraceScope
-    // makes every span built inside forward_batch — per-layer nn spans,
-    // GEMM dispatch — a child of this batch span with zero changes at
-    // those sites.
+    // makes every span built inside the plan run — the plan span, GEMM
+    // dispatch — a child of this batch span with zero changes at those
+    // sites.
     std::optional<telemetry::Span> span;
     std::optional<telemetry::TraceScope> scope;
     telemetry::TraceContext batch_ctx;
@@ -523,22 +513,15 @@ bool Server::serve_group(Replica& replica, std::vector<Request>& group,
       batch_ctx = span->context();
       scope.emplace(batch_ctx);
     }
-    nn::BatchForwardTrace trace;
-    const nn::Matrix* logits = nullptr;
     const Clock::time_point start = Clock::now();
-    if (plan != nullptr) {
-      logits = &plan->run(backend, x, replica.arena);
-    } else {
-      trace = model.forward_batch(x, backend);
-      logits = &trace.activations.back();
-    }
+    const nn::Matrix& logits = plan.run(backend, x, replica.arena);
     const Clock::time_point done = Clock::now();
     scope.reset();
     span.reset();
 
     const double service_s = seconds_between(start, done);
     for (std::size_t b = 0; b < n; ++b) {
-      if (!row_finite(logits->row(b))) {
+      if (!row_finite(logits.row(b))) {
         // Silent-corruption scrub: a non-finite row never reaches the
         // caller; the request goes back for another attempt.
         retry_or_fail(std::move(group[b]),
@@ -551,7 +534,7 @@ bool Server::serve_group(Replica& replica, std::vector<Request>& group,
       response.id = group[b].id;
       response.trace_id = group[b].trace.trace_id;
       response.tenant_key = group[b].tenant_key;
-      const auto row = logits->row(b);
+      const auto row = logits.row(b);
       response.output.assign(row.begin(), row.end());
       response.batch_size = cut_size;
       response.replica = replica.index;
@@ -770,7 +753,7 @@ void Server::supervisor_loop() {
     }
     death_pending_.store(false, std::memory_order_release);
     // Restart scan.  Safe without extra locking: only the supervisor
-    // touches a dead replica's thread/model/backend, and the worker that
+    // touches a dead replica's thread/plan/backend, and the worker that
     // set kDead has already returned (join() below synchronises with it).
     std::size_t healthy = 0;
     for (auto& replica : replicas_) {
@@ -824,21 +807,11 @@ void Server::supervisor_loop() {
 }
 
 void Server::hot_swap(const nn::Mlp& model) {
-  TRIDENT_REQUIRE(model.layer_sizes() == model_.layer_sizes(),
+  TRIDENT_REQUIRE(published_plan()->matches(model),
                   "hot_swap model architecture does not match the server");
-  TRIDENT_REQUIRE(model.hidden_activation() == model_.hidden_activation(),
-                  "hot_swap model activation does not match the server");
   // Compile before taking swap_mutex_: the plan build walks every weight
   // panel, and serving workers block on this mutex at batch boundaries.
-  publish_incumbent(model, compile_plan(model));
-}
-
-std::shared_ptr<const nn::ExecutionPlan> Server::compile_plan(
-    const nn::Mlp& model) const {
-  if (!config_.use_plan) {
-    return nullptr;
-  }
-  return nn::ExecutionPlan::compile(model, plan_config());
+  publish_incumbent(nn::ExecutionPlan::compile(model, plan_config()));
 }
 
 std::shared_ptr<const nn::ExecutionPlan> Server::published_plan() const {
@@ -846,13 +819,12 @@ std::shared_ptr<const nn::ExecutionPlan> Server::published_plan() const {
   return published_->plan;
 }
 
-void Server::publish_incumbent(const nn::Mlp& model,
-                               std::shared_ptr<const nn::ExecutionPlan> plan) {
+void Server::publish_incumbent(std::shared_ptr<const nn::ExecutionPlan> plan) {
   {
     std::lock_guard lock(swap_mutex_);
     const std::uint64_t version = published_->version + 1;
     published_ = std::make_shared<const PublishedModel>(
-        PublishedModel{version, model, now_ns(), std::move(plan)});
+        PublishedModel{version, now_ns(), std::move(plan)});
     // Release so a worker's acquire-load of the version observes the
     // pointer published above (the mutex alone would do; the atomic is the
     // lock-free fast path).
@@ -865,9 +837,6 @@ void Server::publish_incumbent(const nn::Mlp& model,
     m.weights_version.set(
         static_cast<double>(weights_version_.load(std::memory_order_relaxed)));
   }
-  // Note: model_ (the restart fallback of last resort) is deliberately NOT
-  // touched — the supervisor may be cloning it right now.  Restarts read
-  // published_ / the snapshot instead, so they never serve stale weights.
 }
 
 std::uint64_t Server::canary_start(const nn::Mlp& candidate,
@@ -878,17 +847,15 @@ std::uint64_t Server::canary_start(const nn::Mlp& candidate,
 std::uint64_t Server::canary_start(
     const nn::Mlp& candidate, std::uint32_t traffic_percent,
     std::shared_ptr<const nn::ExecutionPlan> plan) {
-  TRIDENT_REQUIRE(candidate.layer_sizes() == model_.layer_sizes(),
+  TRIDENT_REQUIRE(published_plan()->matches(candidate),
                   "canary model architecture does not match the server");
-  TRIDENT_REQUIRE(candidate.hidden_activation() == model_.hidden_activation(),
-                  "canary model activation does not match the server");
   if (plan != nullptr) {
     TRIDENT_REQUIRE(plan->matches(candidate),
                     "canary plan does not match the candidate model");
     TRIDENT_REQUIRE(plan->config().weight_bits == plan_config().weight_bits,
                     "canary plan weight grid does not match the server");
   } else {
-    plan = compile_plan(candidate);
+    plan = nn::ExecutionPlan::compile(candidate, plan_config());
   }
   const std::uint32_t percent = std::min<std::uint32_t>(traffic_percent, 100);
   std::uint64_t seq = 0;
@@ -902,7 +869,7 @@ std::uint64_t Server::canary_start(
     }
     seq = ++canary_seq_;
     canary_published_ = std::make_shared<const PublishedModel>(
-        PublishedModel{seq, candidate, now_ns(), std::move(plan)});
+        PublishedModel{seq, now_ns(), std::move(plan)});
     canary_percent_.store(percent, std::memory_order_relaxed);
     // Release pairs with the workers' acquire in maybe_adopt_weights: a
     // worker that observes the sequence also observes the pointer above.
@@ -940,7 +907,7 @@ bool Server::canary_end(bool promote) {
     // object the canary arm was serving becomes the incumbent's, so the
     // promote path never pays a compile and the plan id is stable across
     // the promotion.
-    publish_incumbent(candidate->model, candidate->plan);
+    publish_incumbent(candidate->plan);
     canary_promotes_.fetch_add(1, std::memory_order_relaxed);
     if (telemetry::enabled()) {
       server_metrics().canary_promotes.add(1);
@@ -977,11 +944,10 @@ void Server::maybe_adopt_weights(Replica& replica) {
     percent = canary_percent_.load(std::memory_order_relaxed);
   }
   if (published->version != replica.weights_seen) {
-    // Copy outside the lock: the publication is immutable, only the worker
-    // touches replica.model, and the fresh Matrix addresses make the next
-    // forward's ensure_programmed() re-program the GST bank — billing the
-    // swap's write pulses through this replica's existing ledger.
-    replica.model = published->model;
+    // The publication is immutable and shared: adoption is a pointer copy.
+    // The new plan's weight addresses make the next forward's
+    // ensure_programmed() re-program the GST bank — billing the swap's
+    // write pulses through this replica's existing ledger.
     replica.plan = published->plan;
     replica.weights_seen = published->version;
     adoptions_.fetch_add(1, std::memory_order_relaxed);
@@ -994,15 +960,13 @@ void Server::maybe_adopt_weights(Replica& replica) {
   }
   // Canary adoption/clearing happens at the same batch boundary, so a
   // worker can never serve half a batch on one candidate and half on
-  // another: the (model, percent, sequence) triple changes only here.
+  // another: the (plan, percent, sequence) triple changes only here.
   const std::uint64_t canary_version = canary ? canary->version : 0;
   if (canary_version != replica.canary_seen) {
     if (canary) {
-      replica.canary_model = canary->model;
       replica.canary_plan = canary->plan;
       replica.canary_percent = percent;
     } else {
-      replica.canary_model.reset();
       replica.canary_plan.reset();
       replica.canary_percent = 0;
     }
@@ -1010,32 +974,29 @@ void Server::maybe_adopt_weights(Replica& replica) {
   }
 }
 
-nn::Mlp Server::restore_model_for_restart(
-    std::uint64_t& seen_version,
-    std::shared_ptr<const nn::ExecutionPlan>& plan) {
+std::shared_ptr<const nn::ExecutionPlan> Server::restart_plan(
+    std::uint64_t& seen_version) {
   std::shared_ptr<const PublishedModel> published;
   {
     std::lock_guard lock(swap_mutex_);
     published = published_;
   }
   seen_version = published->version;
-  plan = published->plan;
   if (!config_.snapshot_path.empty()) {
     try {
       const state::Snapshot snap = state::Snapshot::load(config_.snapshot_path);
-      nn::Mlp restored = state::restore_model(snap.model);
-      TRIDENT_REQUIRE(restored.layer_sizes() == model_.layer_sizes(),
+      const nn::Mlp restored = state::restore_model(snap.model);
+      TRIDENT_REQUIRE(published->plan->matches(restored),
                       "snapshot model architecture does not match the server");
+      // Snapshot weights are whatever the snapshot holds — generally NOT
+      // the published weights — so this incarnation serves a private plan
+      // of them until its next adoption.
+      auto plan = nn::ExecutionPlan::compile(restored, plan_config());
       snapshot_restores_.fetch_add(1, std::memory_order_relaxed);
       if (telemetry::enabled()) {
         server_metrics().snapshot_restores.add(1);
       }
-      // Snapshot weights are whatever the snapshot holds — generally NOT
-      // the published weights the plan was compiled from — so this
-      // incarnation serves per-op until its next adoption re-pairs a
-      // published (model, plan).
-      plan = nullptr;
-      return restored;
+      return plan;
     } catch (const std::exception&) {
       // Missing/corrupt snapshot: degrade to the published weights rather
       // than refuse to heal — availability first, and the counter makes
@@ -1046,7 +1007,7 @@ nn::Mlp Server::restore_model_for_restart(
       }
     }
   }
-  return published->model;
+  return published->plan;
 }
 
 void Server::restart_replica(Replica& replica) {
@@ -1076,14 +1037,11 @@ void Server::restart_replica(Replica& replica) {
   // publication, yet still adopts any later hot_swap.  Fresh RNG split
   // per incarnation, as before.
   std::uint64_t seen = 0;
-  std::shared_ptr<const nn::ExecutionPlan> restored_plan;
-  replica.model = restore_model_for_restart(seen, restored_plan);
-  replica.plan = std::move(restored_plan);
+  replica.plan = restart_plan(seen);
   replica.weights_seen = seen;
   // Canary state is NOT carried across the death: the fresh incarnation
   // re-adopts any still-live canary at its first batch boundary, so a
   // node killed mid-canary heals onto the current stage, not a stale one.
-  replica.canary_model.reset();
   replica.canary_plan.reset();
   replica.canary_seen = 0;
   replica.canary_percent = 0;

@@ -1,13 +1,13 @@
 // Multi-replica edge-serving runtime with replica self-healing.
 //
-// The Server owns N independent accelerator replicas — each one a private
-// Mlp weight copy plus its own backend (by default a PhotonicBackend with
-// weight banks, quantizers, noise stream, energy ledger) — and a shared
-// admission-controlled request queue.  Each replica runs a worker thread
-// in a simple loop:
+// The Server owns N independent accelerator replicas — each one its own
+// backend (by default a PhotonicBackend with weight banks, quantizers,
+// noise stream, energy ledger) running the shared, immutable compiled
+// ExecutionPlan of the published weights — and a shared admission-controlled
+// request queue.  Each replica runs a worker thread in a simple loop:
 //
 //   pop_batch(max_batch, max_wait)   deadline-aware micro-batch cut
-//   forward_batch(...)               one batched GEMM pass (PR-1 fast path)
+//   ExecutionPlan::run(...)          one batched GEMM pass per layer
 //   fulfil promises                  responses carry the latency breakdown
 //
 // Batching exploits the amortised-ledger GEMM path directly: a batch of B
@@ -29,9 +29,9 @@
 //     degraded response.  Nothing admitted is ever silently dropped.
 //   * replica death — a backend throwing trident::HardwareFailure kills
 //     its replica: the in-flight batch is requeued, the worker exits, and
-//     the supervisor thread restarts the replica with a re-cloned model
-//     and a fresh RNG-split backend (a new incarnation), up to
-//     `max_restarts` times.
+//     the supervisor thread restarts the replica on the published plan (or
+//     the configured snapshot) with a fresh RNG-split backend (a new
+//     incarnation), up to `max_restarts` times.
 //   * stalls — workers stamp a heartbeat around every batch; the
 //     supervisor flags replicas that sit in kServing past
 //     `stall_threshold` (counted, surfaced via health()).
@@ -125,28 +125,19 @@ struct ServerConfig {
   core::QuantizedBackendConfig fast_backend;
   /// Non-volatile restore: when set, a supervisor restart loads this
   /// state::Snapshot and the healed replica serves the snapshotted
-  /// (trained) weights instead of a re-clone of the init model.  A missing
-  /// or corrupt snapshot falls back to the current published weights (and
-  /// counts a snapshot_restore_failure).
+  /// (trained) weights through a plan compiled for them, until its next
+  /// adoption.  A missing or corrupt snapshot falls back to the current
+  /// published weights (and counts a snapshot_restore_failure).
   std::string snapshot_path;
   /// Black-box flight recorder (tail-based request retention + postmortem
   /// dumps).  Disabled by default: the serving hot path then never touches
   /// it.  With flight.dump_path set, the supervisor dumps on every replica
   /// death and drain() dumps on exit.
   FlightRecorderConfig flight;
-  /// Run replica forward passes through compiled ExecutionPlans
-  /// (nn/plan.hpp): every publication — construction, hot_swap,
-  /// canary_start — carries an immutable plan all replicas share, adopted
-  /// at the same batch boundaries as the weights (the never-torn guarantee
-  /// covers the pair).  Outputs, noise draws, and ledger bills stay
-  /// bit-identical to the per-op path; set false to serve through
-  /// Mlp::forward_batch dispatch instead.
-  bool use_plan = true;
   /// Pre-compiled plan for the construction-time model, so a fleet compiles
   /// once and every node shares the panels instead of re-deriving them.
   /// Must match the model architecture and the server's plan_config();
-  /// null (the default) compiles in the constructor.  Ignored when
-  /// use_plan is false.
+  /// null (the default) compiles in the constructor.
   std::shared_ptr<const nn::ExecutionPlan> initial_plan;
   /// Completion hook: called with every terminal response (kOk and kFailed
   /// alike) just before its promise is fulfilled, from whatever thread
@@ -234,8 +225,9 @@ struct ServerStats {
 
 class Server {
  public:
-  /// Clones `model` once per replica.  The model's input width fixes the
-  /// accepted request shape.
+  /// Compiles `model` once (or takes config.initial_plan) and shares the
+  /// plan across replicas.  The model's input width fixes the accepted
+  /// request shape.
   Server(const nn::Mlp& model, const ServerConfig& config);
 
   Server(const Server&) = delete;
@@ -313,7 +305,7 @@ class Server {
   /// canary_start with a pre-compiled plan for `candidate`, so the caller
   /// (the learning pipeline's trainer thread) pays the compile cost off the
   /// serving path.  The plan must match the candidate's architecture and
-  /// this server's plan_config(); null compiles here (when use_plan is on).
+  /// this server's plan_config(); null compiles here.
   /// On promote the SAME plan object becomes the incumbent's — shared, not
   /// re-derived.
   [[nodiscard]] std::uint64_t canary_start(
@@ -354,7 +346,7 @@ class Server {
   [[nodiscard]] nn::PlanConfig plan_config() const {
     return plan_config_for(config_);
   }
-  /// Plan of the current incumbent publication (null when use_plan is off).
+  /// Plan of the current incumbent publication.
   [[nodiscard]] std::shared_ptr<const nn::ExecutionPlan> published_plan()
       const;
   [[nodiscard]] int replicas() const { return static_cast<int>(replicas_.size()); }
@@ -364,7 +356,6 @@ class Server {
  private:
   struct Replica {
     int index = 0;
-    nn::Mlp model;
     ReplicaBackend backend;
     std::thread worker;
     std::atomic<ReplicaState> state{ReplicaState::kIdle};
@@ -376,36 +367,32 @@ class Server {
     /// while alive (only touched by the worker thread and, between
     /// incarnations, by the supervisor holding the joined thread).
     std::uint64_t weights_seen = 0;
-    /// Candidate (canary) weights this replica serves, when a canary is
-    /// live and adopted.  Worker-private like `model`; cleared at the
-    /// batch boundary after the canary ends.
-    std::optional<nn::Mlp> canary_model;
+    /// Plan of the weights this replica serves: the published one, or a
+    /// private one compiled for snapshot-restored weights until the next
+    /// adoption.  Worker-private like `weights_seen`; never null.
+    std::shared_ptr<const nn::ExecutionPlan> plan;
+    /// Candidate (canary) plan this replica serves, when a canary is live
+    /// and adopted; null otherwise.  Cleared at the batch boundary after
+    /// the canary ends.
+    std::shared_ptr<const nn::ExecutionPlan> canary_plan;
     std::uint64_t canary_seen = 0;  ///< canary sequence adopted (0 = none)
     /// Traffic split cached at adoption, so routing within a batch is a
     /// pure function of replica state (no racing reads of the knob).
     std::uint32_t canary_percent = 0;
-    /// Compiled plans adopted alongside the models above (worker-private
-    /// the same way).  Null runs the group through per-op dispatch — the
-    /// snapshot-restore path, where the healed weights have no published
-    /// plan, and use_plan == false.
-    std::shared_ptr<const nn::ExecutionPlan> plan;
-    std::shared_ptr<const nn::ExecutionPlan> canary_plan;
     /// Plan-run scratch: grown at adoption, allocation-free per batch.
     nn::PlanArena arena;
 
-    Replica(int idx, const nn::Mlp& m) : index(idx), model(m) {}
+    explicit Replica(int idx) : index(idx) {}
   };
 
-  /// One immutable published weight set.  Readers grab the shared_ptr
-  /// under swap_mutex_ and copy the model outside it — the struct itself
-  /// is never mutated after publication, so there are no torn reads.
+  /// One immutable publication.  Readers grab the shared_ptr under
+  /// swap_mutex_ — the struct itself is never mutated after publication,
+  /// so there are no torn reads.
   struct PublishedModel {
     std::uint64_t version = 0;
-    nn::Mlp model;
     std::int64_t published_ns = 0;  ///< steady-clock stamp of hot_swap()
-    /// Compiled plan of `model` (null when use_plan is off).  Published and
-    /// adopted atomically with the weights, so a replica's (model, plan)
-    /// pair always describes one publication.
+    /// Compiled plan of the published weights: the only copy of them the
+    /// server keeps.  Replicas share it and adopt it at a batch boundary.
     std::shared_ptr<const nn::ExecutionPlan> plan;
   };
 
@@ -415,18 +402,15 @@ class Server {
   /// Serves one batch.  Returns false when the replica's hardware died
   /// (batch already requeued) and the worker must exit.
   [[nodiscard]] bool serve_batch(Replica& replica, std::vector<Request>& batch);
-  /// Runs one (tier, arm) share of a batch through `backend` with `model`'s
-  /// weights and fulfils its promises.  `canary_arm`/`served_version` stamp
-  /// the responses (incumbent version, or the canary sequence when the
-  /// candidate served).  `cut_size` is the size of the originally cut batch
-  /// (what responses report).  Returns false on HardwareFailure (group
-  /// requeued).
-  /// `plan` selects the execution path: non-null runs Plan::run in the
-  /// replica's arena (bit-identical, allocation-free), null dispatches
-  /// per-op through Mlp::forward_batch.
+  /// Runs one (tier, arm) share of a batch through `backend` with `plan`
+  /// (in the replica's arena: bit-identical to Mlp::forward_batch,
+  /// allocation-free) and fulfils its promises.  `canary_arm` and
+  /// `served_version` stamp the responses (incumbent version, or the canary
+  /// sequence when the candidate served).  `cut_size` is the size of the
+  /// originally cut batch (what responses report).  Returns false on
+  /// HardwareFailure (group requeued).
   [[nodiscard]] bool serve_group(Replica& replica, std::vector<Request>& group,
-                                 const nn::Mlp& model,
-                                 const nn::ExecutionPlan* plan,
+                                 const nn::ExecutionPlan& plan,
                                  nn::MatvecBackend& backend, ServingTier served,
                                  bool canary_arm, std::uint64_t served_version,
                                  Clock::time_point formed,
@@ -450,23 +434,15 @@ class Server {
   /// Adopts the latest published weights at a batch boundary (fast
   /// acquire-load no-op when the replica is current).
   void maybe_adopt_weights(Replica& replica);
-  /// Model a restarted incarnation should serve: the snapshot when
-  /// configured and loadable, the latest published weights otherwise.
-  /// `seen_version` is set to the published version the choice reflects.
-  /// `plan` is the published plan when the published weights were chosen,
-  /// null when the snapshot was — snapshot weights have no published plan,
-  /// so the healed replica serves per-op until the next publication.
-  [[nodiscard]] nn::Mlp restore_model_for_restart(
-      std::uint64_t& seen_version,
-      std::shared_ptr<const nn::ExecutionPlan>& plan);
-  /// Compiles `model` for publication, or returns null when use_plan is
-  /// off.
-  [[nodiscard]] std::shared_ptr<const nn::ExecutionPlan> compile_plan(
-      const nn::Mlp& model) const;
-  /// Shared tail of hot_swap and canary promotion: publishes (model, plan)
-  /// as the new incumbent version under swap_mutex_ and books the swap.
-  void publish_incumbent(const nn::Mlp& model,
-                         std::shared_ptr<const nn::ExecutionPlan> plan);
+  /// Plan a restarted incarnation should serve: one compiled for the
+  /// snapshot's weights when configured and loadable, the latest published
+  /// plan otherwise.  `seen_version` is set to the published version read,
+  /// so the next publication after it is adopted.
+  [[nodiscard]] std::shared_ptr<const nn::ExecutionPlan> restart_plan(
+      std::uint64_t& seen_version);
+  /// Shared tail of hot_swap and canary promotion: publishes `plan` as the
+  /// new incumbent version under swap_mutex_ and books the swap.
+  void publish_incumbent(std::shared_ptr<const nn::ExecutionPlan> plan);
   /// Fails everything still queued after the workers exited (all replicas
   /// dead): the explicit degraded-drain path.
   void fail_leftovers();
@@ -475,7 +451,6 @@ class Server {
   void publish_slo_gauges(const LatencySummary& sojourn) const;
 
   ServerConfig config_;
-  nn::Mlp model_;  ///< pristine copy for restart re-cloning
   int input_dim_ = 0;
   RequestQueue queue_;
   std::vector<std::unique_ptr<Replica>> replicas_;

@@ -1,34 +1,13 @@
-// Compiled device-model LUTs: bit-identity with the per-device simulation
-// (GstCell sweep, WeightBank calibration) and exactness of the fused
-// int8→int8 activation table on every representable input.
+// Compiled MRR weight LUT: bit-identity with WeightBank's per-device
+// calibration sweep and its nearest-level programming.
 #include "photonics/device_lut.hpp"
-
-#include <cmath>
 
 #include <gtest/gtest.h>
 
-#include "common/quantize.hpp"
 #include "core/weight_bank.hpp"
-#include "nn/mlp.hpp"
 
 namespace phot = trident::phot;
 namespace core = trident::core;
-using trident::SymmetricQuantizer;
-
-TEST(GstTransmissionLut, MatchesProgrammedCellBitForBit) {
-  const phot::GstCellParams params;
-  const phot::GstTransmissionLut lut = phot::build_gst_transmission_lut(params);
-  ASSERT_EQ(lut.levels(), params.levels);
-  phot::GstCell cell(params);
-  for (int l = 0; l < params.levels; ++l) {
-    cell.program(l);
-    EXPECT_EQ(lut.intensity[static_cast<std::size_t>(l)], cell.transmittance())
-        << "level " << l;
-    EXPECT_EQ(lut.amplitude[static_cast<std::size_t>(l)],
-              cell.amplitude_transmittance())
-        << "level " << l;
-  }
-}
 
 TEST(MrrWeightLut, MatchesWeightBankCalibration) {
   core::WeightBankConfig cfg;
@@ -58,38 +37,4 @@ TEST(MrrWeightLut, NearestLevelMatchesBankProgramming) {
     EXPECT_EQ(lut.weight[static_cast<std::size_t>(level)], realized)
         << "target " << target;
   }
-}
-
-TEST(ActivationLut, ExactOnEveryRepresentableInput) {
-  // ReLU-style GST activation between an 8-bit pre-activation grid and a
-  // 6-bit output grid: the table must equal quantize(f(reconstruct(level)))
-  // for every level of the input grid, including the saturated edges.
-  const SymmetricQuantizer in(8, 2.5);
-  const SymmetricQuantizer out(6, 1.0);
-  const auto f = [](double h) {
-    return trident::nn::apply_activation(
-        trident::nn::Activation::kGstPhotonic, h);
-  };
-  const phot::ActivationLut lut = phot::build_activation_lut(f, in, out);
-  const int half = (in.levels() - 1) / 2;
-  for (int l = -half; l <= half; ++l) {
-    const double expected_value = f(in.from_level(l));
-    const int expected_level = out.to_level(expected_value);
-    EXPECT_EQ(static_cast<int>(lut(static_cast<std::int8_t>(l))),
-              expected_level)
-        << "input level " << l;
-  }
-}
-
-TEST(ActivationLut, OutOfGridBytePatternSaturates) {
-  // -128 is never produced by a ≤8-bit symmetric grid, but a hostile byte
-  // must still map inside the output grid rather than index out of range.
-  const SymmetricQuantizer in(8, 1.0);
-  const SymmetricQuantizer out(8, 1.0);
-  const auto identity = [](double h) { return h; };
-  const phot::ActivationLut lut = phot::build_activation_lut(identity, in, out);
-  const int half = (out.levels() - 1) / 2;
-  const int v = lut(static_cast<std::int8_t>(-128));
-  EXPECT_GE(v, -half);
-  EXPECT_LE(v, half);
 }

@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -257,6 +258,10 @@ TEST_P(QueueFuzz, BlockingProducersConserveUnderCloseRace) {
   std::atomic<std::uint64_t> accepted{0};
   std::atomic<std::uint64_t> closed{0};
   std::atomic<std::uint64_t> popped{0};
+  // Each producer holds its last push until the close is published, so
+  // that push returns kClosed by construction — however fast the others
+  // got the rest of theirs accepted.
+  std::latch close_published(1);
 
   std::vector<std::thread> threads;
   for (int p = 0; p < kProducers; ++p) {
@@ -265,6 +270,9 @@ TEST_P(QueueFuzz, BlockingProducersConserveUnderCloseRace) {
       for (int i = 0; i < kPerProducer; ++i) {
         serving::Request r;
         r.id = static_cast<std::uint64_t>(i);
+        if (i == kPerProducer - 1) {
+          close_published.wait();
+        }
         switch (q.push(r)) {
           case serving::AdmitResult::kAccepted:
             accepted.fetch_add(1, std::memory_order_relaxed);
@@ -301,6 +309,7 @@ TEST_P(QueueFuzz, BlockingProducersConserveUnderCloseRace) {
       std::this_thread::yield();
     }
     q.close();
+    close_published.count_down();
   });
   for (auto& t : threads) {
     t.join();
@@ -310,7 +319,7 @@ TEST_P(QueueFuzz, BlockingProducersConserveUnderCloseRace) {
 
   EXPECT_EQ(accepted.load() + closed.load(),
             static_cast<std::uint64_t>(kProducers) * kPerProducer);
-  EXPECT_GT(closed.load(), 0u);
+  EXPECT_GE(closed.load(), static_cast<std::uint64_t>(kProducers));
   EXPECT_EQ(popped.load(), accepted.load());
   EXPECT_EQ(q.depth(), 0u);
 }

@@ -372,42 +372,6 @@ TEST(ServingPlan, RejectsMismatchedPreCompiledCanaryPlan) {
                Error);
 }
 
-TEST(ServingPlan, DisabledPlanServesNullAndStillAnswers) {
-  ServerConfig cfg;
-  cfg.use_plan = false;
-  const nn::Mlp model = serving_model(0x5eedu);
-  Server server(model, cfg);
-  EXPECT_EQ(server.published_plan(), nullptr);
-  auto fut = server.submit(nn::Vector(8, 0.25));
-  ASSERT_TRUE(fut.has_value());
-  const Response r = fut->get();
-  EXPECT_EQ(r.output.size(), 4u);
-}
-
-TEST(ServingPlan, PlanAndPerOpServingAgreeBitForBit) {
-  const nn::Mlp model = serving_model(0x5eedu);
-  ServerConfig with_plan;
-  with_plan.replicas = 1;
-  with_plan.enable_fast_tier = true;
-  ServerConfig without_plan = with_plan;
-  without_plan.use_plan = false;
-  Server a(model, with_plan);
-  Server b(model, without_plan);
-  Rng rng(0xD00Du);
-  for (int i = 0; i < 8; ++i) {
-    nn::Vector x(8);
-    for (double& v : x) {
-      v = rng.uniform(-1.0, 1.0);
-    }
-    const ServingTier tier =
-        (i % 2 == 0) ? ServingTier::kExact : ServingTier::kFast;
-    auto fa = a.submit(x, tier);
-    auto fb = b.submit(x, tier);
-    ASSERT_TRUE(fa.has_value() && fb.has_value());
-    EXPECT_EQ(fa->get().output, fb->get().output) << "request " << i;
-  }
-}
-
 TEST(ServingPlan, HotSwapChurnUnderLoadStaysCoherent) {
   // Plan-publication churn: swaps race served batches; every response must
   // come from a single (version, plan) pairing — the never-torn guarantee

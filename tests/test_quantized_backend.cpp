@@ -1,15 +1,18 @@
-// Quantized int8 tier: error-bound contract against the double reference,
-// bit-identity of batched vs single-sample execution, PhotonicBackend
-// ledger parity, plan-cache invalidation, and the full-model-zoo
-// fast-vs-exact equivalence suite.
+// Quantized int8 tier: per-matmul error-bound contract against the double
+// reference, bit-identity of batched vs single-sample execution,
+// PhotonicBackend ledger parity, in-place and address-reuse weight changes,
+// and the full-model-zoo fast-vs-exact check on the served plan forward.
 #include "core/quantized_backend.hpp"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iostream>
 #include <limits>
 #include <optional>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +20,7 @@
 #include "common/rng.hpp"
 #include "core/photonic_backend.hpp"
 #include "nn/mlp.hpp"
+#include "nn/plan.hpp"
 #include "nn/zoo.hpp"
 
 namespace core = trident::core;
@@ -48,6 +52,11 @@ double row_scale(std::span<const double> row) {
     s = std::max(s, std::abs(v));
   }
   return s;
+}
+
+std::size_t argmax(std::span<const double> row) {
+  return static_cast<std::size_t>(
+      std::max_element(row.begin(), row.end()) - row.begin());
 }
 
 }  // namespace
@@ -159,14 +168,14 @@ TEST(QuantizedBackend, LedgerMatchesPhotonicBackendCallForCall) {
   EXPECT_EQ(wf.data(), wp.data());
 }
 
-TEST(QuantizedBackend, PlanCacheRecompilesWhenWeightsChangeInPlace) {
+TEST(QuantizedBackend, InPlaceWeightChangeIsSeenByTheNextMatmul) {
   Rng rng(0xfa5cu);
   core::QuantizedBackend fast;
   nn::FloatBackend exact;
   nn::Matrix w = random_matrix(6, 10, -1.0, 1.0, rng);
   const nn::Matrix x = random_matrix(3, 10, -1.0, 1.0, rng);
 
-  (void)fast.matmul(w, x);  // panel compiled for the original values
+  (void)fast.matmul(w, x);  // panel quantized from the original values
 
   // Hot-swap style mutation: new values, same buffer address.
   for (double& v : w.data()) {
@@ -183,91 +192,76 @@ TEST(QuantizedBackend, PlanCacheRecompilesWhenWeightsChangeInPlace) {
   }
 }
 
-TEST(QuantizedProgram, FusedForwardHonoursTheErrorBound) {
-  Rng rng(0x90au);
-  nn::Mlp model({20, 32, 16, 10}, nn::Activation::kReLU, rng);
-  const nn::Matrix calibration = random_matrix(24, 20, -1.5, 1.5, rng);
-  const nn::Matrix eval = random_matrix(24, 20, -1.5, 1.5, rng);
-
-  const core::FastPathReport report =
-      core::check_fast_path(model, calibration, eval);
-  EXPECT_FALSE(report.saturated);
-  for (std::size_t b = 0; b < eval.rows(); ++b) {
-    const auto er = report.exact.row(b);
-    const auto fr = report.fast.row(b);
-    for (std::size_t r = 0; r < er.size(); ++r) {
-      EXPECT_LE(std::abs(fr[r] - er[r]), report.bound[b])
-          << "sample " << b << " logit " << r;
-    }
-  }
-}
-
-TEST(QuantizedProgram, GstActivationModelAlsoHonoursTheBound) {
-  Rng rng(0x90bu);
-  nn::Mlp model({16, 24, 8}, nn::Activation::kGstPhotonic, rng);
-  const nn::Matrix calibration = random_matrix(16, 16, -1.0, 1.0, rng);
-  const nn::Matrix eval = random_matrix(16, 16, -1.0, 1.0, rng);
-  const core::FastPathReport report =
-      core::check_fast_path(model, calibration, eval);
-  EXPECT_FALSE(report.saturated);
-  EXPECT_LE(report.max_abs_error,
-            *std::max_element(report.bound.begin(), report.bound.end()));
-}
-
-TEST(QuantizedProgram, FullModelZooMeetsTheFastVsExactContract) {
-  // Every zoo model, as a deterministic dense surrogate: the fused int8
-  // tier must stay within its computed bound on every logit of every
-  // sample, and top-1 decisions must overwhelmingly agree.
+TEST(QuantizedBackend, ServedPlanIsBatchInvariantAndAgreesWithTheReference) {
+  // The forward every kFast request runs: ExecutionPlan::run on a
+  // QuantizedBackend whose grid matches the plan's (the fused run_plan).
+  // Every zoo surrogate plus a ReLU and a GST-activation model, on the
+  // multilevel GST grids of 4 to 8 bits.  A sample's logits must not depend
+  // on the batch it was served in, and at 8 bits the decisions must agree
+  // with the double reference on at least 3 of 4 samples — most random
+  // surrogate logits are near-ties, so the floor is loose.
+  std::vector<std::pair<std::string, nn::Mlp>> models;
   std::vector<nn::ModelSpec> specs = nn::zoo::evaluation_models();
   specs.push_back(nn::zoo::lenet5());
-  Rng rng(0x200du);
   for (const auto& spec : specs) {
-    SCOPED_TRACE(spec.name);
-    const nn::Mlp model = nn::zoo::surrogate_mlp(spec);
+    models.emplace_back(spec.name, nn::zoo::surrogate_mlp(spec));
+  }
+  Rng relu_rng(0x90au);
+  models.emplace_back(
+      "relu {20,32,16,10}",
+      nn::Mlp({20, 32, 16, 10}, nn::Activation::kReLU, relu_rng));
+  Rng gst_rng(0x90bu);
+  models.emplace_back(
+      "gst {16,24,8}",
+      nn::Mlp({16, 24, 8}, nn::Activation::kGstPhotonic, gst_rng));
+
+  Rng rng(0x200du);
+  for (const auto& [name, model] : models) {
+    SCOPED_TRACE(name);
     const std::size_t in =
         static_cast<std::size_t>(model.layer_sizes().front());
-    const nn::Matrix calibration = random_matrix(32, in, -1.0, 1.0, rng);
-    const nn::Matrix eval = random_matrix(32, in, -1.0, 1.0, rng);
+    const nn::Matrix x = random_matrix(32, in, -1.0, 1.0, rng);
+    nn::FloatBackend exact;
+    const nn::Matrix reference =
+        model.forward_batch(x, exact).activations.back();
 
-    const core::FastPathReport report =
-        core::check_fast_path(model, calibration, eval);
-    EXPECT_FALSE(report.saturated);
-    for (std::size_t b = 0; b < eval.rows(); ++b) {
-      const auto er = report.exact.row(b);
-      const auto fr = report.fast.row(b);
-      for (std::size_t r = 0; r < er.size(); ++r) {
-        ASSERT_LE(std::abs(fr[r] - er[r]), report.bound[b])
-            << "sample " << b << " logit " << r;
-      }
-      // Decision stability is a *theorem* given the bound: whenever the
-      // exact top-2 margin exceeds twice the per-sample bound, the fast
-      // tier cannot flip the argmax.  (Samples inside the margin are
-      // genuine near-ties — random surrogate logits cluster — where a
-      // flip is consistent with the bound.)
-      std::size_t best = 0, second = 0;
-      for (std::size_t r = 1; r < er.size(); ++r) {
-        if (er[r] > er[best]) {
-          second = best;
-          best = r;
-        } else if (er[r] > er[second] || second == best) {
-          second = r;
+    for (int bits = 4; bits <= 8; ++bits) {
+      SCOPED_TRACE("weight_bits " + std::to_string(bits));
+      const auto plan = nn::ExecutionPlan::compile(model, nn::PlanConfig{bits});
+      core::QuantizedBackendConfig cfg;
+      cfg.weight_bits = bits;
+
+      core::QuantizedBackend batched(cfg);
+      nn::PlanArena batched_arena;
+      const nn::Matrix& fast = plan->run(batched, x, batched_arena);
+
+      core::QuantizedBackend single(cfg);
+      nn::PlanArena single_arena;
+      nn::Matrix one(1, in);
+      double max_error = 0.0;
+      std::size_t agree = 0;
+      for (std::size_t b = 0; b < x.rows(); ++b) {
+        const auto xb = x.row(b);
+        std::copy(xb.begin(), xb.end(), one.row(0).begin());
+        const nn::Matrix& alone = plan->run(single, one, single_arena);
+        for (std::size_t r = 0; r < fast.cols(); ++r) {
+          ASSERT_EQ(fast.at(b, r), alone.at(0, r))
+              << "sample " << b << " logit " << r;
+          max_error = std::max(
+              max_error, std::abs(fast.at(b, r) - reference.at(b, r)));
+        }
+        if (argmax(fast.row(b)) == argmax(reference.row(b))) {
+          ++agree;
         }
       }
-      if (er.size() > 1 && er[best] - er[second] > 2.0 * report.bound[b]) {
-        std::size_t fast_best = 0;
-        for (std::size_t r = 1; r < fr.size(); ++r) {
-          if (fr[r] > fr[fast_best]) {
-            fast_best = r;
-          }
-        }
-        EXPECT_EQ(fast_best, best)
-            << "argmax flipped outside the near-tie margin, sample " << b;
+      if (bits == 8) {
+        const double top1 =
+            static_cast<double>(agree) / static_cast<double>(x.rows());
+        std::cout << "[ served ] " << name << " 8-bit: max |fast - exact| "
+                  << max_error << ", top-1 agreement " << top1 << "\n";
+        EXPECT_GE(top1, 0.75);
       }
     }
-    // Deterministic seeds: the rate is a fixed number per model.  Most
-    // random-logit samples are near-ties, so the global floor is loose;
-    // the margin check above is the sharp assertion.
-    EXPECT_GE(report.top1_agreement, 0.75);
   }
 }
 
@@ -280,13 +274,12 @@ TEST(QuantizedBackend, RejectsGridsWiderThanInt8) {
   EXPECT_THROW(core::QuantizedBackend{cfg}, trident::Error);
 }
 
-TEST(QuantizedBackend, PlanCacheSurvivesAddressReuseWithNewContent) {
-  // The weight-plan cache is keyed by Matrix address but guarded by a
-  // content fingerprint checked on every lookup.  The ABA hazard: destroy a
-  // cached matrix, construct a different one at the same address, and serve
-  // the stale packed panel.  Re-emplacing one std::optional puts every
-  // matrix in the same object storage, so the address is reused by
-  // construction on every allocator, sanitizer quarantines included.
+TEST(QuantizedBackend, AddressReuseWithNewContentIsSeenByTheNextMatmul) {
+  // The ABA hazard of any address-keyed weight state: destroy a matrix,
+  // construct a different one at the same address, and serve a stale
+  // panel.  Re-emplacing one std::optional puts every matrix in the same
+  // object storage, so the address is reused by construction on every
+  // allocator, sanitizer quarantines included.
   core::QuantizedBackend backend;
   Rng rng(0xABAu);
   std::optional<nn::Matrix> slot;
@@ -300,9 +293,9 @@ TEST(QuantizedBackend, PlanCacheSurvivesAddressReuseWithNewContent) {
     ASSERT_EQ(static_cast<const void*>(&*slot), first_addr);
     const nn::Matrix x = random_matrix(3, 10, -1.0, 1.0, rng);
     const nn::Matrix got = backend.matmul(*slot, x);
-    // A fresh backend cannot have a stale cache entry: its output is the
-    // ground truth for these weights.  Bit-equality proves the fingerprint
-    // — not the address — decided the cache hit.
+    // A fresh backend has seen no earlier matrix: its output is the ground
+    // truth for these weights.  Bit-equality proves nothing keyed by the
+    // address leaked into the result.
     core::QuantizedBackend fresh;
     const nn::Matrix want = fresh.matmul(*slot, x);
     for (std::size_t b = 0; b < x.rows(); ++b) {
