@@ -7,8 +7,11 @@
 // alternating gold/bronze, offers `--requests` round-robin requests while
 // the fleet clock ticks, then drains and audits the fleet-wide
 // conservation laws: every submit becomes exactly one accept or shed,
-// every accept exactly one completion or failure — fleet-wide, per
-// tenant, and against the telemetry mirror and folded energy ledger.
+// every accept exactly one completion or failure — fleet-wide and per
+// tenant — and the folded energy ledger balances against the per-pulse
+// trident_ledger_* counters.  The exported trident_fleet_* and
+// trident_tenant_* counters are the fleet's own books, collected by the
+// metrics registry.
 //
 // With `--chaos-seed S` one node (`--chaos-kill-node`, default 1) runs a
 // scripted FaultPlan that kills its only replica at op
@@ -68,10 +71,11 @@ int main(int argc, char** argv) {
   // op; everyone else gets a benign plan with a light transient rate.
   const bool chaos_on = args.value("chaos-seed").has_value();
   const int kill_node = args.value_int("chaos-kill-node", 1);
-  auto injection_log = std::make_shared<chaos::InjectionLog>();
+  std::shared_ptr<chaos::InjectionLog> injection_log;
   std::shared_ptr<const chaos::FaultPlan> victim_plan;
   std::shared_ptr<const chaos::FaultPlan> benign_plan;
   if (chaos_on) {
+    injection_log = std::make_shared<chaos::InjectionLog>();
     const auto chaos_seed =
         static_cast<std::uint64_t>(args.value_int("chaos-seed", 0));
     chaos::FaultPlanConfig victim_cfg;
@@ -211,9 +215,8 @@ int main(int argc, char** argv) {
   }
 
   // The pass/fail line: fleet-wide conservation, the per-tenant partition
-  // of the books, the telemetry mirror, and — since this process runs no
-  // backend outside the fleet — the folded energy ledger against its
-  // registry twin.
+  // of the books, and — since this process runs no backend outside the
+  // fleet — the folded energy ledger against its registry twin.
   const chaos::InvariantReport sweep = chaos::check_fleet_soak(
       stats, fleet.tenant_stats(), /*ledger_books=*/true);
   if (!sweep.ok()) {

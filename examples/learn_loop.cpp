@@ -19,9 +19,10 @@
 //   latency  canary-arm latencies are inflated 3x against a 1.5x p99
 //            gate (exit enforces >= 1 rollback, 0 promotes)
 //
-// Every run additionally enforces the learning conservation laws, the
-// trident_learning_* telemetry mirror, and the bit-exactness audit (every
-// response bit-identical to its stamped arm's reference forward).
+// Every run additionally enforces the learning conservation laws and the
+// bit-exactness audit (every response bit-identical to its stamped arm's
+// reference forward).  With --metrics-out the exported trident_learning_*
+// counters are the pipeline's own books, collected by the registry.
 //
 // Run:  ./build/examples/learn_loop --scenario drift --decision-log dl.txt
 //       TRIDENT_LEARNING_SEED=0xBEEF ./build/examples/learn_loop
@@ -135,9 +136,8 @@ int main(int argc, char** argv) {
          std::to_string(report.bit_exact_mismatches) +
          " responses did not match their stamped arm");
   }
-  chaos::InvariantReport inv =
+  const chaos::InvariantReport inv =
       chaos::check_learning_conservation(report.learning);
-  inv.merge(chaos::check_learning_telemetry_mirror(report.learning));
   if (!inv.ok()) {
     fail("learning invariants:\n" + inv.to_string());
   }

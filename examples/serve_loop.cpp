@@ -13,9 +13,10 @@
 // replica backend (see docs/chaos.md): transient errors exercise the
 // retry budget, `--chaos-kill-op K` scripts replica 0's death at its K-th
 // backend op so the supervisor restart path runs, and the exit status
-// enforces the chaos invariants (conservation laws + telemetry mirror)
+// enforces the chaos invariants (conservation laws + energy books)
 // instead of the fault-free "nothing failed" check.  The same seed
-// reproduces the same injection schedule.
+// reproduces the same injection schedule, and the exported
+// trident_chaos_*_total counters are the injection log itself.
 //
 // With `--checkpoint-dir D` the serving weights are persisted to
 // `D/serving.tsnap` as an atomic state::Snapshot before traffic starts and
@@ -89,8 +90,9 @@ int main(int argc, char** argv) {
   // the hardened CLI parsers so a typo'd rate fails loudly.
   const bool chaos_on = args.value("chaos-seed").has_value();
   std::shared_ptr<const chaos::FaultPlan> plan;
-  auto injection_log = std::make_shared<chaos::InjectionLog>();
+  std::shared_ptr<chaos::InjectionLog> injection_log;
   if (chaos_on) {
+    injection_log = std::make_shared<chaos::InjectionLog>();
     const auto chaos_seed =
         static_cast<std::uint64_t>(args.value_int("chaos-seed", 0));
     chaos::FaultPlanConfig plan_cfg;
@@ -248,12 +250,11 @@ int main(int argc, char** argv) {
   }
   if (chaos_on) {
     // Under chaos, explicit degraded responses are legal; the conservation
-    // laws and the telemetry mirror are the pass/fail line.
-    const chaos::InjectionCounts injected = injection_log->snapshot();
-    // This process runs no PhotonicBackend outside the server, so the
-    // energy books can be audited against the telemetry mirror too.
+    // laws are the pass/fail line.  This process runs no PhotonicBackend
+    // outside the server, so the energy books can be audited against the
+    // per-pulse trident_ledger_* counters too.
     const chaos::InvariantReport invariants = chaos::check_soak(
-        server, stats, &report, &injected, /*ledger_books=*/true);
+        server, stats, &report, /*ledger_books=*/true);
     if (!invariants.ok()) {
       std::cerr << "ERROR: chaos invariants violated (--chaos-seed "
                 << plan->seed() << " reproduces):\n"

@@ -212,6 +212,7 @@ def check_snapshot_invariants(doc, path):
     gauges = doc.get("gauges", {})
     # Fleet front-door and per-tenant admission books.  Tenant families are
     # discovered by name: trident_tenant_<name>_requests_submitted_total.
+    _check_request_books(counters, "trident_serving", path)
     _check_request_books(counters, "trident_fleet", path)
     suffix = "_requests_submitted_total"
     for name in counters:

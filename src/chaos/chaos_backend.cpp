@@ -6,37 +6,25 @@
 
 #include "common/error.hpp"
 #include "telemetry/metrics.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace trident::chaos {
 
-namespace {
-
-struct ChaosMetrics {
-  telemetry::Counter& transient_errors =
-      telemetry::MetricsRegistry::global().counter(
-          "trident_chaos_transient_errors_total",
-          "injected retryable backend errors");
-  telemetry::Counter& nans = telemetry::MetricsRegistry::global().counter(
-      "trident_chaos_nan_injections_total",
-      "injected NaN output corruptions");
-  telemetry::Counter& stuck_reads =
-      telemetry::MetricsRegistry::global().counter(
-          "trident_chaos_stuck_reads_total",
-          "injected silent additive output corruptions");
-  telemetry::Counter& stalls = telemetry::MetricsRegistry::global().counter(
-      "trident_chaos_stalls_total", "injected backend stalls");
-  telemetry::Counter& deaths = telemetry::MetricsRegistry::global().counter(
-      "trident_chaos_replica_deaths_total",
-      "injected hardware-failure replica deaths");
-};
-
-ChaosMetrics& chaos_metrics() {
-  static ChaosMetrics m;
-  return m;
-}
-
-}  // namespace
+InjectionLog::InjectionLog()
+    : collector_(telemetry::MetricsRegistry::global().add_collector([this] {
+        const InjectionCounts c = snapshot();
+        return std::vector<telemetry::CounterSample>{
+            {"trident_chaos_transient_errors_total",
+             "injected retryable backend errors", c.transient_errors},
+            {"trident_chaos_nan_injections_total",
+             "injected NaN output corruptions", c.nans},
+            {"trident_chaos_stuck_reads_total",
+             "injected silent additive output corruptions", c.stuck_reads},
+            {"trident_chaos_stalls_total", "injected backend stalls",
+             c.stalls},
+            {"trident_chaos_replica_deaths_total",
+             "injected hardware-failure replica deaths", c.deaths},
+        };
+      })) {}
 
 void InjectionLog::count(FaultKind kind) {
   switch (kind) {
@@ -81,25 +69,6 @@ ChaosBackend::ChaosBackend(std::unique_ptr<nn::MatvecBackend> inner,
 void ChaosBackend::record(FaultKind kind) {
   if (log_) {
     log_->count(kind);
-  }
-  if (telemetry::enabled()) {
-    switch (kind) {
-      case FaultKind::kTransientError:
-        chaos_metrics().transient_errors.add(1);
-        break;
-      case FaultKind::kNanInjection:
-        chaos_metrics().nans.add(1);
-        break;
-      case FaultKind::kStuckRead:
-        chaos_metrics().stuck_reads.add(1);
-        break;
-      case FaultKind::kStall:
-        chaos_metrics().stalls.add(1);
-        break;
-      case FaultKind::kReplicaDeath:
-        chaos_metrics().deaths.add(1);
-        break;
-    }
   }
 }
 

@@ -11,10 +11,10 @@
 // supervisor restart path (via trident::HardwareFailure), and stalls
 // exercise heartbeat/stall detection.
 //
-// Everything injected is double-entry bookkept: the shared InjectionLog
-// counts each applied fault, and (when compiled in) telemetry counters
-// mirror the log one-for-one.  The chaos invariant suite checks that
-// mirror the same way the photonic ledger is checked against its metrics.
+// Everything injected is counted once, in the shared InjectionLog: each
+// applied fault bumps one of its atomics, and the trident_chaos_*_total
+// counters are the log itself, read by the metrics registry at snapshot
+// time.  A ChaosBackend built without a log counts nowhere.
 #pragma once
 
 #include <atomic>
@@ -27,6 +27,7 @@
 #include "core/photonic_backend.hpp"
 #include "nn/mlp.hpp"
 #include "serving/server.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace trident::chaos {
 
@@ -47,9 +48,14 @@ struct InjectionCounts {
 };
 
 /// Thread-safe injection ledger shared across every ChaosBackend of one
-/// experiment (all replicas, all incarnations).
+/// experiment (all replicas, all incarnations).  The metrics registry
+/// collects it as the trident_chaos_*_total counters.
 class InjectionLog {
  public:
+  InjectionLog();
+  InjectionLog(const InjectionLog&) = delete;
+  InjectionLog& operator=(const InjectionLog&) = delete;
+
   void count(FaultKind kind);
   [[nodiscard]] InjectionCounts snapshot() const;
 
@@ -59,6 +65,8 @@ class InjectionLog {
   std::atomic<std::uint64_t> stuck_reads_{0};
   std::atomic<std::uint64_t> stalls_{0};
   std::atomic<std::uint64_t> deaths_{0};
+  /// Last member: destroyed first, so its fold reads the counts above.
+  telemetry::MetricsRegistry::CollectorHandle collector_;
 };
 
 class ChaosBackend final : public nn::MatvecBackend {

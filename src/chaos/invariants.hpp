@@ -10,9 +10,8 @@
 //                               accepted  == completed + failed   (drained)
 //   * load-report agreement     the generator's own counts match the
 //                               server's books
-//   * telemetry mirror          every runtime counter equals its metrics
-//                               twin (and the injection log equals the
-//                               trident_chaos_* counters)
+//   * energy books              the drained ledger equals the per-pulse
+//                               trident_ledger_* counters
 //   * queue bounds              depth never exceeds capacity plus the
 //                               worst-case requeued in-flight batches
 //
@@ -26,7 +25,6 @@
 #include <string>
 #include <vector>
 
-#include "chaos/chaos_backend.hpp"
 #include "fleet/fleet.hpp"
 #include "serving/load_gen.hpp"
 #include "serving/server.hpp"
@@ -139,122 +137,16 @@ inline void expect_le(InvariantReport& report, std::uint64_t lhs,
   return report;
 }
 
-/// Telemetry double-entry check: every runtime counter must equal its
-/// metrics-registry twin, and (when an injection log is supplied) the log
-/// must equal the trident_chaos_* counters.  Only meaningful when the
-/// registry was reset_values()'d at experiment start AND exactly one
-/// server/injector fleet ran since (the registry is process-global); a
-/// no-op pass when telemetry is off.
-[[nodiscard]] inline InvariantReport check_telemetry_mirror(
-    const serving::ServerStats& stats,
-    const InjectionCounts* injections = nullptr) {
-  InvariantReport report;
-  if (!telemetry::enabled()) {
-    return report;
-  }
-  const telemetry::MetricsSnapshot snap =
-      telemetry::MetricsRegistry::global().snapshot();
-  detail::expect_eq(
-      report, stats.completed,
-      snap.counter_value("trident_serving_requests_completed_total"),
-      "completed == trident_serving_requests_completed_total");
-  detail::expect_eq(report, stats.failed,
-                    snap.counter_value("trident_serving_requests_failed_total"),
-                    "failed == trident_serving_requests_failed_total");
-  detail::expect_eq(report, stats.retries,
-                    snap.counter_value("trident_serving_retries_total"),
-                    "retries == trident_serving_retries_total");
-  detail::expect_eq(report, stats.batches,
-                    snap.counter_value("trident_serving_batches_total"),
-                    "batches == trident_serving_batches_total");
-  detail::expect_eq(
-      report, stats.replica_deaths,
-      snap.counter_value("trident_serving_replica_deaths_total"),
-      "replica_deaths == trident_serving_replica_deaths_total");
-  detail::expect_eq(
-      report, stats.replica_restarts,
-      snap.counter_value("trident_serving_replica_restarts_total"),
-      "replica_restarts == trident_serving_replica_restarts_total");
-  detail::expect_eq(
-      report, stats.stalls_detected,
-      snap.counter_value("trident_serving_replica_stalls_total"),
-      "stalls_detected == trident_serving_replica_stalls_total");
-  detail::expect_eq(report, stats.weight_swaps,
-                    snap.counter_value("trident_serving_weight_swaps_total"),
-                    "weight_swaps == trident_serving_weight_swaps_total");
-  detail::expect_eq(
-      report, stats.swap_adoptions,
-      snap.counter_value("trident_serving_weight_swap_adoptions_total"),
-      "swap_adoptions == trident_serving_weight_swap_adoptions_total");
-  detail::expect_eq(
-      report, stats.snapshot_restores,
-      snap.counter_value("trident_serving_snapshot_restores_total"),
-      "snapshot_restores == trident_serving_snapshot_restores_total");
-  detail::expect_eq(
-      report, stats.snapshot_restore_failures,
-      snap.counter_value("trident_serving_snapshot_restore_failures_total"),
-      "snapshot_restore_failures == "
-      "trident_serving_snapshot_restore_failures_total");
-  detail::expect_eq(report, stats.quantized_dispatches,
-                    snap.counter_value("trident_quantized_dispatch_total"),
-                    "quantized_dispatches == trident_quantized_dispatch_total");
-  detail::expect_eq(report, stats.exact_dispatches,
-                    snap.counter_value("trident_exact_dispatch_total"),
-                    "exact_dispatches == trident_exact_dispatch_total");
-  detail::expect_eq(
-      report, stats.fast_fallbacks,
-      snap.counter_value("trident_serving_fast_fallbacks_total"),
-      "fast_fallbacks == trident_serving_fast_fallbacks_total");
-  detail::expect_eq(report, stats.canary_dispatches,
-                    snap.counter_value("trident_canary_dispatch_total"),
-                    "canary_dispatches == trident_canary_dispatch_total");
-  detail::expect_eq(report, stats.incumbent_dispatches,
-                    snap.counter_value("trident_incumbent_dispatch_total"),
-                    "incumbent_dispatches == trident_incumbent_dispatch_total");
-  detail::expect_eq(
-      report, stats.canary_starts,
-      snap.counter_value("trident_serving_canary_starts_total"),
-      "canary_starts == trident_serving_canary_starts_total");
-  detail::expect_eq(
-      report, stats.canary_promotes,
-      snap.counter_value("trident_serving_canary_promotes_total"),
-      "canary_promotes == trident_serving_canary_promotes_total");
-  detail::expect_eq(
-      report, stats.canary_rollbacks,
-      snap.counter_value("trident_serving_canary_rollbacks_total"),
-      "canary_rollbacks == trident_serving_canary_rollbacks_total");
-  if (injections != nullptr) {
-    detail::expect_eq(
-        report, injections->transient_errors,
-        snap.counter_value("trident_chaos_transient_errors_total"),
-        "injection log transient_errors == trident_chaos_transient_errors_total");
-    detail::expect_eq(report, injections->nans,
-                      snap.counter_value("trident_chaos_nan_injections_total"),
-                      "injection log nans == trident_chaos_nan_injections_total");
-    detail::expect_eq(report, injections->stuck_reads,
-                      snap.counter_value("trident_chaos_stuck_reads_total"),
-                      "injection log stuck_reads == trident_chaos_stuck_reads_total");
-    detail::expect_eq(report, injections->stalls,
-                      snap.counter_value("trident_chaos_stalls_total"),
-                      "injection log stalls == trident_chaos_stalls_total");
-    detail::expect_eq(
-        report, injections->deaths,
-        snap.counter_value("trident_chaos_replica_deaths_total"),
-        "injection log deaths == trident_chaos_replica_deaths_total");
-  }
-  return report;
-}
-
 /// Energy-book conservation: the server's drained ledger must equal the
 /// telemetry mirror of every pulse executed in-process.  This is the
 /// "accepted == completed + failed" analogue for the energy books — the
 /// restart fold (retired_ledger_) plus the live replica ledgers must
 /// neither drop nor double-count a dead incarnation's pulses, and a
 /// snapshot restore must not leak a previous process's bill into this
-/// one's mirror.  Preconditions as check_telemetry_mirror, plus: every
-/// PhotonicBackend that ran since the registry reset must belong to this
-/// server (the trident_ledger_* counters are process-global).  No-op when
-/// telemetry is off.
+/// one's mirror.  Only meaningful when the registry was reset_values()'d
+/// at experiment start and every PhotonicBackend that ran since belongs to
+/// this server (the trident_ledger_* counters are process-global).  No-op
+/// when telemetry is off.
 [[nodiscard]] inline InvariantReport check_ledger_conservation(
     const serving::ServerStats& stats) {
   InvariantReport report;
@@ -299,17 +191,16 @@ inline void expect_le(InvariantReport& report, std::uint64_t lhs,
 
 /// The full post-drain sweep for a soak: every law in one report.
 /// `ledger_books` additionally audits the energy books against the
-/// telemetry mirror (only valid when the server's backends are the only
-/// PhotonicBackends that ran since the registry reset).
+/// per-pulse trident_ledger_* counters (only valid when the server's
+/// backends are the only PhotonicBackends that ran since the registry
+/// reset).
 [[nodiscard]] inline InvariantReport check_soak(
     const serving::Server& server, const serving::ServerStats& stats,
-    const serving::LoadReport* load = nullptr,
-    const InjectionCounts* injections = nullptr, bool ledger_books = false) {
+    const serving::LoadReport* load = nullptr, bool ledger_books = false) {
   InvariantReport report = check_server_conservation(stats, /*drained=*/true);
   if (load != nullptr) {
     report.merge(check_load_conservation(*load, stats));
   }
-  report.merge(check_telemetry_mirror(stats, injections));
   if (ledger_books) {
     report.merge(check_ledger_conservation(stats));
   }
@@ -437,59 +328,9 @@ inline void expect_le(InvariantReport& report, std::uint64_t lhs,
   return report;
 }
 
-/// Fleet telemetry double-entry: the fleet's own counters against their
-/// trident_fleet_* registry twins.  Preconditions as check_telemetry_mirror
-/// (registry reset at start, one fleet since); no-op when telemetry is off.
-[[nodiscard]] inline InvariantReport check_fleet_telemetry_mirror(
-    const fleet::FleetStats& stats) {
-  InvariantReport report;
-  if (!telemetry::enabled()) {
-    return report;
-  }
-  const telemetry::MetricsSnapshot snap =
-      telemetry::MetricsRegistry::global().snapshot();
-  detail::expect_eq(
-      report, stats.submitted,
-      snap.counter_value("trident_fleet_requests_submitted_total"),
-      "fleet submitted == trident_fleet_requests_submitted_total");
-  detail::expect_eq(
-      report, stats.accepted,
-      snap.counter_value("trident_fleet_requests_accepted_total"),
-      "fleet accepted == trident_fleet_requests_accepted_total");
-  detail::expect_eq(report, stats.shed,
-                    snap.counter_value("trident_fleet_requests_shed_total"),
-                    "fleet shed == trident_fleet_requests_shed_total");
-  detail::expect_eq(
-      report, stats.completed,
-      snap.counter_value("trident_fleet_requests_completed_total"),
-      "fleet completed == trident_fleet_requests_completed_total");
-  detail::expect_eq(report, stats.failed,
-                    snap.counter_value("trident_fleet_requests_failed_total"),
-                    "fleet failed == trident_fleet_requests_failed_total");
-  detail::expect_eq(report, stats.node_spawns,
-                    snap.counter_value("trident_fleet_node_spawns_total"),
-                    "fleet node_spawns == trident_fleet_node_spawns_total");
-  detail::expect_eq(report, stats.node_retires,
-                    snap.counter_value("trident_fleet_node_retires_total"),
-                    "fleet node_retires == trident_fleet_node_retires_total");
-  detail::expect_eq(report, stats.node_deaths,
-                    snap.counter_value("trident_fleet_node_deaths_total"),
-                    "fleet node_deaths == trident_fleet_node_deaths_total");
-  detail::expect_eq(report, stats.reroutes,
-                    snap.counter_value("trident_fleet_reroutes_total"),
-                    "fleet reroutes == trident_fleet_reroutes_total");
-  detail::expect_eq(report, stats.scale_ups,
-                    snap.counter_value("trident_fleet_scale_ups_total"),
-                    "fleet scale_ups == trident_fleet_scale_ups_total");
-  detail::expect_eq(report, stats.scale_downs,
-                    snap.counter_value("trident_fleet_scale_downs_total"),
-                    "fleet scale_downs == trident_fleet_scale_downs_total");
-  return report;
-}
-
 /// The full post-drain sweep for a fleet soak: request conservation,
-/// tenant partition, telemetry mirror, and (opt-in, same caveat as
-/// check_soak) the fleet-wide energy books.
+/// tenant partition, and (opt-in, same caveat as check_soak) the
+/// fleet-wide energy books.
 [[nodiscard]] inline InvariantReport check_fleet_soak(
     const fleet::FleetStats& stats,
     const std::vector<fleet::TenantStats>& tenants,
@@ -497,7 +338,6 @@ inline void expect_le(InvariantReport& report, std::uint64_t lhs,
   InvariantReport report = check_fleet_conservation(stats, /*drained=*/true);
   report.merge(check_fleet_tenant_conservation(tenants, stats,
                                                /*drained=*/true));
-  report.merge(check_fleet_telemetry_mirror(stats));
   if (ledger_books) {
     report.merge(check_fleet_ledger_conservation(stats));
   }

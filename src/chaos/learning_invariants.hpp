@@ -11,8 +11,6 @@
 //   * canary lifecycle books   publications == promotes + rollbacks
 //                                              + (active ? 1 : 0)
 //                              and the server's own canary books agree
-//   * telemetry mirror         every pipeline counter equals its
-//                              trident_learning_* twin
 //   * never-torn checkpoint    whatever is on disk at the checkpoint path
 //                              LOADS — a kill mid-checkpoint must leave
 //                              the previous complete snapshot, never a
@@ -51,71 +49,6 @@ namespace trident::chaos {
                         (stats.trainer_restarts < stats.trainer_deaths ? 1u
                                                                        : 0u),
                     "learning: deaths == restarts (+1 if budget exhausted)");
-  return report;
-}
-
-/// The pipeline's counters against their trident_learning_* registry
-/// twins.  Preconditions as check_telemetry_mirror: registry reset at
-/// experiment start and exactly one pipeline ran since (and every sample
-/// entered through LearningPipeline::feed, not the raw queue).  No-op when
-/// telemetry is off.
-[[nodiscard]] inline InvariantReport check_learning_telemetry_mirror(
-    const learning::LearningStats& stats) {
-  InvariantReport report;
-  if (!telemetry::enabled()) {
-    return report;
-  }
-  const telemetry::MetricsSnapshot snap =
-      telemetry::MetricsRegistry::global().snapshot();
-  detail::expect_eq(
-      report, stats.offered,
-      snap.counter_value("trident_learning_feedback_offered_total"),
-      "learning offered == trident_learning_feedback_offered_total");
-  detail::expect_eq(
-      report, stats.dropped,
-      snap.counter_value("trident_learning_feedback_dropped_total"),
-      "learning dropped == trident_learning_feedback_dropped_total");
-  detail::expect_eq(
-      report, stats.samples_trained,
-      snap.counter_value("trident_learning_samples_trained_total"),
-      "learning trained == trident_learning_samples_trained_total");
-  detail::expect_eq(report, stats.samples_lost,
-                    snap.counter_value("trident_learning_samples_lost_total"),
-                    "learning lost == trident_learning_samples_lost_total");
-  detail::expect_eq(report, stats.train_pulses,
-                    snap.counter_value("trident_learning_train_pulses_total"),
-                    "learning pulses == trident_learning_train_pulses_total");
-  detail::expect_eq(
-      report, stats.trainer_deaths,
-      snap.counter_value("trident_learning_trainer_deaths_total"),
-      "learning deaths == trident_learning_trainer_deaths_total");
-  detail::expect_eq(
-      report, stats.trainer_restarts,
-      snap.counter_value("trident_learning_trainer_restarts_total"),
-      "learning restarts == trident_learning_trainer_restarts_total");
-  detail::expect_eq(report, stats.checkpoints,
-                    snap.counter_value("trident_learning_checkpoints_total"),
-                    "learning checkpoints == trident_learning_checkpoints_total");
-  detail::expect_eq(
-      report, stats.checkpoint_failures,
-      snap.counter_value("trident_learning_checkpoint_failures_total"),
-      "learning checkpoint_failures == "
-      "trident_learning_checkpoint_failures_total");
-  detail::expect_eq(
-      report, stats.checkpoint_restores,
-      snap.counter_value("trident_learning_checkpoint_restores_total"),
-      "learning checkpoint_restores == "
-      "trident_learning_checkpoint_restores_total");
-  detail::expect_eq(
-      report, stats.canary_publications,
-      snap.counter_value("trident_learning_canary_publications_total"),
-      "learning publications == trident_learning_canary_publications_total");
-  detail::expect_eq(report, stats.promotes,
-                    snap.counter_value("trident_learning_promotes_total"),
-                    "learning promotes == trident_learning_promotes_total");
-  detail::expect_eq(report, stats.rollbacks,
-                    snap.counter_value("trident_learning_rollbacks_total"),
-                    "learning rollbacks == trident_learning_rollbacks_total");
   return report;
 }
 
@@ -175,9 +108,8 @@ namespace trident::chaos {
 }
 
 /// The full post-drain sweep for a learning soak: serving laws (canary
-/// books included), learning books, both telemetry mirrors, checkpoint
-/// integrity, and (opt-in, same caveat as check_soak) the combined energy
-/// books.  The server-side canary books must also agree with the
+/// books included), learning books, checkpoint integrity, and (opt-in,
+/// same caveat as check_soak) the combined energy books.  The server-side canary books must also agree with the
 /// pipeline's view when the pipeline is the only publisher.
 [[nodiscard]] inline InvariantReport check_learning_soak(
     const serving::Server& server, const serving::ServerStats& server_stats,
@@ -186,10 +118,8 @@ namespace trident::chaos {
     bool sole_publisher = true) {
   InvariantReport report =
       check_server_conservation(server_stats, /*drained=*/true);
-  report.merge(check_telemetry_mirror(server_stats));
   report.merge(check_queue_bounds(server));
   report.merge(check_learning_conservation(learning_stats));
-  report.merge(check_learning_telemetry_mirror(learning_stats));
   report.merge(check_checkpoint_integrity(checkpoint_path, learning_stats));
   if (sole_publisher) {
     detail::expect_eq(report, server_stats.canary_starts,

@@ -15,43 +15,8 @@ namespace trident::fleet {
 namespace {
 
 struct FleetMetrics {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Gauge& nodes =
-      reg.gauge("trident_fleet_nodes", "live serving nodes in the fleet");
-  telemetry::Counter& node_spawns = reg.counter(
-      "trident_fleet_node_spawns_total", "nodes spawned (initial + scale-up)");
-  telemetry::Counter& node_retires =
-      reg.counter("trident_fleet_node_retires_total",
-                  "nodes drain-retired cleanly (scale-down, drain)");
-  telemetry::Counter& node_deaths =
-      reg.counter("trident_fleet_node_deaths_total",
-                  "whole-node deaths detected (every replica dead)");
-  telemetry::Counter& submitted = reg.counter(
-      "trident_fleet_requests_submitted_total", "requests offered to the fleet");
-  telemetry::Counter& accepted =
-      reg.counter("trident_fleet_requests_accepted_total",
-                  "requests admitted into some node's queue");
-  telemetry::Counter& shed = reg.counter(
-      "trident_fleet_requests_shed_total",
-      "requests shed at the fleet front door (no node, class watermark, "
-      "node admission)");
-  telemetry::Counter& completed =
-      reg.counter("trident_fleet_requests_completed_total",
-                  "responses completed across all nodes (fleet hook)");
-  telemetry::Counter& failed =
-      reg.counter("trident_fleet_requests_failed_total",
-                  "explicit kFailed responses across all nodes (fleet hook)");
-  telemetry::Counter& reroutes =
-      reg.counter("trident_fleet_reroutes_total",
-                  "submissions rerouted off a draining or dead node");
-  telemetry::Counter& slo_violations =
-      reg.counter("trident_fleet_slo_violations_total",
-                  "responses past their tenant-class deadline");
-  telemetry::Counter& scale_ups = reg.counter(
-      "trident_fleet_scale_ups_total", "autoscaler scale-up actions applied");
-  telemetry::Counter& scale_downs =
-      reg.counter("trident_fleet_scale_downs_total",
-                  "autoscaler scale-down actions applied");
+  telemetry::Gauge& nodes = telemetry::MetricsRegistry::global().gauge(
+      "trident_fleet_nodes", "live serving nodes in the fleet");
 };
 
 FleetMetrics& fleet_metrics() {
@@ -121,6 +86,8 @@ Fleet::Fleet(const nn::Mlp& model, const FleetConfig& config)
   if (config_.supervise_interval_s > 0.0) {
     supervisor_ = std::thread([this] { supervise_loop(); });
   }
+  collector_ = telemetry::MetricsRegistry::global().add_collector(
+      [this] { return counter_readings(); });
 }
 
 Fleet::~Fleet() { drain(); }
@@ -134,7 +101,6 @@ int Fleet::add_node_locked(double now_s) {
   router_.add_node(id, now_s);
   node_spawns_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry::enabled()) {
-    fleet_metrics().node_spawns.add(1);
     fleet_metrics().nodes.set(static_cast<double>(live_nodes_locked()));
   }
   return id;
@@ -172,7 +138,6 @@ bool Fleet::retire_node(int id) {
   nodes_.erase(it);
   node_retires_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry::enabled()) {
-    fleet_metrics().node_retires.add(1);
     fleet_metrics().nodes.set(static_cast<double>(live_nodes_locked()));
   }
   return true;
@@ -195,26 +160,6 @@ std::uint64_t Fleet::register_tenant(const TenantSpec& spec) {
     ++key;
   }
   acct->key = key;
-  // Per-tenant registry family.  No-label registries mangle the tenant into
-  // the metric name; re-registering an existing name returns the same
-  // counter, so two tenants whose names sanitize identically share one
-  // family (documented in docs/fleet.md).
-  const std::string base = "trident_tenant_" + sanitize(spec.name) + "_";
-  auto& reg = telemetry::MetricsRegistry::global();
-  acct->m_submitted = &reg.counter(base + "requests_submitted_total",
-                                   "requests offered by tenant " + spec.name);
-  acct->m_accepted = &reg.counter(base + "requests_accepted_total",
-                                  "requests admitted for tenant " + spec.name);
-  acct->m_shed = &reg.counter(base + "requests_shed_total",
-                              "requests shed for tenant " + spec.name);
-  acct->m_completed = &reg.counter(
-      base + "requests_completed_total",
-      "responses completed for tenant " + spec.name);
-  acct->m_failed = &reg.counter(base + "requests_failed_total",
-                                "kFailed responses for tenant " + spec.name);
-  acct->m_slo_violations =
-      &reg.counter(base + "slo_violations_total",
-                   "class-deadline misses for tenant " + spec.name);
   tenants_by_name_.emplace(spec.name, acct);
   tenants_by_key_.emplace(key, acct);
   return key;
@@ -245,12 +190,6 @@ void Fleet::observe_response(const serving::Response& response) {
   if (response.deadline_missed) {
     slo_violations_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (telemetry::enabled()) {
-    (ok ? fleet_metrics().completed : fleet_metrics().failed).add(1);
-    if (response.deadline_missed) {
-      fleet_metrics().slo_violations.add(1);
-    }
-  }
 
   std::shared_ptr<TenantAccount> acct;
   if (response.tenant_key != 0) {
@@ -270,12 +209,6 @@ void Fleet::observe_response(const serving::Response& response) {
     // population (sojourn samples == completed, fleet-wide and per tenant).
     if (ok) {
       acct->sojourn.record(response.timing.sojourn_s);
-    }
-    if (telemetry::enabled()) {
-      (ok ? acct->m_completed : acct->m_failed)->add(1);
-      if (response.deadline_missed) {
-        acct->m_slo_violations->add(1);
-      }
     }
   } else if (ok) {
     untenanted_sojourn_.record(response.timing.sojourn_s);
@@ -306,18 +239,10 @@ std::optional<std::future<serving::Response>> Fleet::submit(
 
   submitted_.fetch_add(1, std::memory_order_relaxed);
   acct->submitted.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::enabled()) {
-    fleet_metrics().submitted.add(1);
-    acct->m_submitted->add(1);
-  }
 
   const auto shed = [&](std::atomic<std::uint64_t>& bucket) {
     bucket.fetch_add(1, std::memory_order_relaxed);
     acct->shed.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry::enabled()) {
-      fleet_metrics().shed.add(1);
-      acct->m_shed->add(1);
-    }
     return std::nullopt;
   };
 
@@ -338,9 +263,6 @@ std::optional<std::future<serving::Response>> Fleet::submit(
       node = reroute_target_locked(-1);
       if (node) {
         reroutes_.fetch_add(1, std::memory_order_relaxed);
-        if (telemetry::enabled()) {
-          fleet_metrics().reroutes.add(1);
-        }
       }
     }
   }
@@ -382,9 +304,6 @@ std::optional<std::future<serving::Response>> Fleet::submit(
       return shed(shed_no_node_);
     }
     reroutes_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry::enabled()) {
-      fleet_metrics().reroutes.add(1);
-    }
     future = fallback->server->submit(std::move(input), options);
     if (!future) {
       return shed(fallback->server->draining() ? shed_no_node_ : shed_node_);
@@ -395,10 +314,6 @@ std::optional<std::future<serving::Response>> Fleet::submit(
 
   accepted_.fetch_add(1, std::memory_order_relaxed);
   acct->accepted.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::enabled()) {
-    fleet_metrics().accepted.add(1);
-    acct->m_accepted->add(1);
-  }
   return future;
 }
 
@@ -430,9 +345,6 @@ void Fleet::tick(double now_s) {
     }
     if (all_dead) {
       node_deaths_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::enabled()) {
-        fleet_metrics().node_deaths.add(1);
-      }
       fold_node_locked(*node, NodeState::kDead);
       node->died_s = now_s;
       if (telemetry::enabled()) {
@@ -505,9 +417,6 @@ void Fleet::autoscale_locked(double now_s) {
   if (decision == ScaleDecision::kScaleUp && live < config_.max_nodes) {
     add_node_locked(now_s);
     scale_ups_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry::enabled()) {
-      fleet_metrics().scale_ups.add(1);
-    }
   } else if (decision == ScaleDecision::kScaleDown && live > config_.min_nodes) {
     // Drain-retire the least-loaded live node: cheapest to empty, and its
     // tenants re-land on the survivors with bounded ring disruption.
@@ -519,8 +428,6 @@ void Fleet::autoscale_locked(double now_s) {
       node_retires_.fetch_add(1, std::memory_order_relaxed);
       scale_downs_.fetch_add(1, std::memory_order_relaxed);
       if (telemetry::enabled()) {
-        fleet_metrics().node_retires.add(1);
-        fleet_metrics().scale_downs.add(1);
         fleet_metrics().nodes.set(static_cast<double>(live_nodes_locked()));
       }
     }
@@ -568,9 +475,6 @@ void Fleet::drain() {
     if (node->state == NodeState::kLive) {
       fold_node_locked(*node, NodeState::kRetired);
       node_retires_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::enabled()) {
-        fleet_metrics().node_retires.add(1);
-      }
     }
   }
   nodes_.clear();
@@ -683,6 +587,67 @@ std::vector<TenantStats> Fleet::tenant_stats() const {
     t.slo_violations = acct->slo_violations.load(std::memory_order_relaxed);
     t.sojourn = acct->sojourn.summary();
     out.push_back(std::move(t));
+  }
+  return out;
+}
+
+std::vector<telemetry::CounterSample> Fleet::counter_readings() const {
+  const auto load = [](const std::atomic<std::uint64_t>& v) {
+    return v.load(std::memory_order_relaxed);
+  };
+  std::vector<telemetry::CounterSample> out = {
+      {"trident_fleet_node_spawns_total", "nodes spawned (initial + scale-up)",
+       load(node_spawns_)},
+      {"trident_fleet_node_retires_total",
+       "nodes drain-retired cleanly (scale-down, drain)", load(node_retires_)},
+      {"trident_fleet_node_deaths_total",
+       "whole-node deaths detected (every replica dead)", load(node_deaths_)},
+      {"trident_fleet_requests_submitted_total",
+       "requests offered to the fleet", load(submitted_)},
+      {"trident_fleet_requests_accepted_total",
+       "requests admitted into some node's queue", load(accepted_)},
+      {"trident_fleet_requests_shed_total",
+       "requests shed at the fleet front door (no node, class watermark, "
+       "node admission)",
+       load(shed_no_node_) + load(shed_class_) + load(shed_node_)},
+      {"trident_fleet_requests_completed_total",
+       "responses completed across all nodes (fleet hook)", load(completed_)},
+      {"trident_fleet_requests_failed_total",
+       "explicit kFailed responses across all nodes (fleet hook)",
+       load(failed_)},
+      {"trident_fleet_reroutes_total",
+       "submissions rerouted off a draining or dead node", load(reroutes_)},
+      {"trident_fleet_slo_violations_total",
+       "responses past their tenant-class deadline", load(slo_violations_)},
+      {"trident_fleet_scale_ups_total", "autoscaler scale-up actions applied",
+       load(scale_ups_)},
+      {"trident_fleet_scale_downs_total",
+       "autoscaler scale-down actions applied", load(scale_downs_)},
+  };
+  // Per-tenant families.  No-label registries mangle the tenant into the
+  // metric name, so two tenants whose names sanitize identically report
+  // the same names and the registry sums them into one family (documented
+  // in docs/fleet.md).
+  std::lock_guard lock(tenants_mutex_);
+  for (const auto& [name, acct] : tenants_by_name_) {
+    const std::string base = "trident_tenant_" + sanitize(name) + "_";
+    out.push_back({base + "requests_submitted_total",
+                   "requests offered by tenant " + name,
+                   load(acct->submitted)});
+    out.push_back({base + "requests_accepted_total",
+                   "requests admitted for tenant " + name,
+                   load(acct->accepted)});
+    out.push_back({base + "requests_shed_total",
+                   "requests shed for tenant " + name, load(acct->shed)});
+    out.push_back({base + "requests_completed_total",
+                   "responses completed for tenant " + name,
+                   load(acct->completed)});
+    out.push_back({base + "requests_failed_total",
+                   "kFailed responses for tenant " + name,
+                   load(acct->failed)});
+    out.push_back({base + "slo_violations_total",
+                   "class-deadline misses for tenant " + name,
+                   load(acct->slo_violations)});
   }
   return out;
 }

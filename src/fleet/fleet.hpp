@@ -219,15 +219,6 @@ class Fleet {
     std::atomic<std::uint64_t> failed{0};
     std::atomic<std::uint64_t> slo_violations{0};
     serving::LatencyRecorder sojourn;
-    /// Registry mirror: the name-mangled
-    /// `trident_tenant_<name>_requests_*_total` family, registered when
-    /// the tenant is (registry references are process-stable).
-    telemetry::Counter* m_submitted = nullptr;
-    telemetry::Counter* m_accepted = nullptr;
-    telemetry::Counter* m_shed = nullptr;
-    telemetry::Counter* m_completed = nullptr;
-    telemetry::Counter* m_failed = nullptr;
-    telemetry::Counter* m_slo_violations = nullptr;
   };
 
   enum class NodeState { kLive, kDead, kRetired };
@@ -254,6 +245,10 @@ class Fleet {
   [[nodiscard]] int live_nodes_locked() const;
   void autoscale_locked(double now_s);
   void supervise_loop();
+  /// The fleet's front-door counters and every tenant's
+  /// `trident_tenant_<name>_*` family, as the metrics registry collects
+  /// them (the nodes' own Servers report theirs).
+  [[nodiscard]] std::vector<telemetry::CounterSample> counter_readings() const;
 
   FleetConfig config_;
   nn::Mlp model_;
@@ -311,6 +306,10 @@ class Fleet {
 
   mutable std::mutex drain_mutex_;
   bool drained_ = false;
+
+  /// Registry collector over the books above.  Last member: destroyed
+  /// first, so its fold reads them while they still exist.
+  telemetry::MetricsRegistry::CollectorHandle collector_;
 };
 
 }  // namespace trident::fleet

@@ -14,53 +14,11 @@ namespace trident::learning {
 
 namespace {
 
-/// trident_learning_* telemetry: one-for-one mirrors of the pipeline's
-/// books, so chaos::check_learning_telemetry_mirror can audit them like
-/// the serving counters.
 struct LearningMetrics {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& offered =
-      reg.counter("trident_learning_feedback_offered_total",
-                  "labelled feedback samples offered to the stream");
-  telemetry::Counter& dropped =
-      reg.counter("trident_learning_feedback_dropped_total",
-                  "feedback samples dropped at the stream (full or closed)");
-  telemetry::Counter& trained =
-      reg.counter("trident_learning_samples_trained_total",
-                  "feedback samples consumed by completed training pulses");
-  telemetry::Counter& lost =
-      reg.counter("trident_learning_samples_lost_total",
-                  "feedback samples consumed by pulses that died mid-train");
-  telemetry::Counter& pulses =
-      reg.counter("trident_learning_train_pulses_total",
-                  "completed shadow retraining pulses");
-  telemetry::Counter& trainer_deaths =
-      reg.counter("trident_learning_trainer_deaths_total",
-                  "shadow trainer incarnations killed by HardwareFailure");
-  telemetry::Counter& trainer_restarts =
-      reg.counter("trident_learning_trainer_restarts_total",
-                  "shadow trainer re-incarnations");
-  telemetry::Counter& checkpoints =
-      reg.counter("trident_learning_checkpoints_total",
-                  "atomic shadow snapshots written");
-  telemetry::Counter& checkpoint_failures =
-      reg.counter("trident_learning_checkpoint_failures_total",
-                  "checkpoint attempts that failed (no torn file remains)");
-  telemetry::Counter& checkpoint_restores =
-      reg.counter("trident_learning_checkpoint_restores_total",
-                  "trainer restarts healed from the on-disk checkpoint");
-  telemetry::Counter& publications =
-      reg.counter("trident_learning_canary_publications_total",
-                  "shadow weight sets published to the canary stage");
-  telemetry::Counter& promotes =
-      reg.counter("trident_learning_promotes_total",
-                  "canary candidates promoted to incumbent");
-  telemetry::Counter& rollbacks =
-      reg.counter("trident_learning_rollbacks_total",
-                  "canary candidates rolled back (incumbent untouched)");
   telemetry::Gauge& shadow_generation =
-      reg.gauge("trident_learning_shadow_generation",
-                "training pulses since the shadow's last known-good anchor");
+      telemetry::MetricsRegistry::global().gauge(
+          "trident_learning_shadow_generation",
+          "training pulses since the shadow's last known-good anchor");
 };
 
 [[nodiscard]] LearningMetrics& learning_metrics() {
@@ -85,6 +43,8 @@ LearningPipeline::LearningPipeline(serving::Server& server, nn::Mlp shadow_init,
     config_.max_pulse_samples = config_.pulse_threshold;
   }
   build_trainer(0);
+  collector_ = telemetry::MetricsRegistry::global().add_collector(
+      [this] { return counter_readings(); });
 }
 
 void LearningPipeline::build_trainer(int incarnation) {
@@ -106,15 +66,7 @@ void LearningPipeline::build_trainer(int incarnation) {
 }
 
 bool LearningPipeline::feed(FeedbackSample sample) {
-  const bool accepted = queue_.push(std::move(sample));
-  if (telemetry::enabled()) {
-    LearningMetrics& m = learning_metrics();
-    m.offered.add(1);
-    if (!accepted) {
-      m.dropped.add(1);
-    }
-  }
-  return accepted;
+  return queue_.push(std::move(sample));
 }
 
 void LearningPipeline::observe_response(bool canary_arm, bool correct,
@@ -166,27 +118,22 @@ std::size_t LearningPipeline::train_pulse() {
     return 0;
   } catch (const std::exception&) {
     // Transient trainer fault: the pulse is lost, the trainer survives.
-    samples_lost_ += batch.size();
-    if (telemetry::enabled()) {
-      learning_metrics().lost.add(batch.size());
-    }
+    samples_lost_.fetch_add(batch.size(), std::memory_order_relaxed);
     return 0;
   }
-  samples_trained_ += batch.size();
-  ++train_pulses_;
+  samples_trained_.fetch_add(batch.size(), std::memory_order_relaxed);
+  train_pulses_.fetch_add(1, std::memory_order_relaxed);
   ++shadow_generation_;
   if (telemetry::enabled()) {
-    LearningMetrics& m = learning_metrics();
-    m.trained.add(batch.size());
-    m.pulses.add(1);
-    m.shadow_generation.set(static_cast<double>(shadow_generation_));
+    learning_metrics().shadow_generation.set(
+        static_cast<double>(shadow_generation_));
   }
   return batch.size();
 }
 
 void LearningPipeline::handle_trainer_death(std::size_t samples_in_flight) {
-  ++trainer_deaths_;
-  samples_lost_ += samples_in_flight;
+  trainer_deaths_.fetch_add(1, std::memory_order_relaxed);
+  samples_lost_.fetch_add(samples_in_flight, std::memory_order_relaxed);
   // Fold the dead incarnation's bill before the backend is replaced —
   // exactly the serving replica discipline: pulses are never dropped and
   // never double-counted across a death.
@@ -195,19 +142,12 @@ void LearningPipeline::handle_trainer_death(std::size_t samples_in_flight) {
   }
   trainer_.backend.reset();
   trainer_.ledger = nullptr;
-  if (telemetry::enabled()) {
-    LearningMetrics& m = learning_metrics();
-    m.trainer_deaths.add(1);
-    if (samples_in_flight > 0) {
-      m.lost.add(samples_in_flight);
-    }
-  }
-  if (trainer_restarts_ >=
+  if (trainer_restarts_.load(std::memory_order_relaxed) >=
       static_cast<std::uint64_t>(config_.max_trainer_restarts)) {
     trainer_dead_ = true;
     return;
   }
-  ++trainer_restarts_;
+  trainer_restarts_.fetch_add(1, std::memory_order_relaxed);
   ++incarnation_;
   build_trainer(incarnation_);
   // Heal the weights from the non-volatile checkpoint when one loads; a
@@ -218,17 +158,11 @@ void LearningPipeline::handle_trainer_death(std::size_t samples_in_flight) {
       const state::Snapshot snap =
           state::Snapshot::load(config_.checkpoint_path);
       state::restore_model_into(snap.model, shadow_);
-      ++checkpoint_restores_;
+      checkpoint_restores_.fetch_add(1, std::memory_order_relaxed);
       shadow_generation_ = 0;
-      if (telemetry::enabled()) {
-        learning_metrics().checkpoint_restores.add(1);
-      }
     } catch (const std::exception&) {
       // No checkpoint yet (or unreadable): continue on live weights.
     }
-  }
-  if (telemetry::enabled()) {
-    learning_metrics().trainer_restarts.add(1);
   }
 }
 
@@ -237,7 +171,9 @@ bool LearningPipeline::checkpoint() {
   if (config_.checkpoint_path.empty()) {
     return false;
   }
-  const std::uint64_t ordinal = checkpoints_ + checkpoint_failures_;
+  const std::uint64_t ordinal =
+      checkpoints_.load(std::memory_order_relaxed) +
+      checkpoint_failures_.load(std::memory_order_relaxed);
   try {
     if (config_.checkpoint_fault_hook) {
       config_.checkpoint_fault_hook(ordinal);
@@ -246,26 +182,17 @@ bool LearningPipeline::checkpoint() {
     snap.model = state::capture_model(shadow_);
     snap.ledger = state::to_ledger_state(ledger_locked());
     snap.save(config_.checkpoint_path);
-    ++checkpoints_;
-    if (telemetry::enabled()) {
-      learning_metrics().checkpoints.add(1);
-    }
+    checkpoints_.fetch_add(1, std::memory_order_relaxed);
     return true;
   } catch (const HardwareFailure&) {
     // The trainer died mid-checkpoint.  The atomic write discipline means
     // the previous snapshot is still intact on disk — which is exactly
     // what the healed trainer restores from below.
-    ++checkpoint_failures_;
-    if (telemetry::enabled()) {
-      learning_metrics().checkpoint_failures.add(1);
-    }
+    checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
     handle_trainer_death(0);
     return false;
   } catch (const std::exception&) {
-    ++checkpoint_failures_;
-    if (telemetry::enabled()) {
-      learning_metrics().checkpoint_failures.add(1);
-    }
+    checkpoint_failures_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
 }
@@ -286,14 +213,11 @@ std::uint64_t LearningPipeline::publish_canary() {
   }
   active_seq_ = seq;
   candidate_ = shadow_;
-  ++publications_;
+  publications_.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard obs(obs_mutex_);
     controller_.reset();
     observing_ = true;
-  }
-  if (telemetry::enabled()) {
-    learning_metrics().publications.add(1);
   }
   return seq;
 }
@@ -319,21 +243,15 @@ CanaryEvaluation LearningPipeline::maybe_decide(std::uint64_t round,
   const bool promote = eval.verdict == CanaryVerdict::kPromote;
   server_.canary_end(promote);
   if (promote) {
-    ++promotes_;
+    promotes_.fetch_add(1, std::memory_order_relaxed);
     // The candidate — the exact weights that were serving the canary arm,
     // not the since-evolved shadow — becomes the new known-good anchor.
     anchor_ = *candidate_;
-    if (telemetry::enabled()) {
-      learning_metrics().promotes.add(1);
-    }
   } else {
-    ++rollbacks_;
+    rollbacks_.fetch_add(1, std::memory_order_relaxed);
     // Roll the SHADOW back too: one poisoned retraining must not seed the
     // next candidate.  The serving incumbent was never displaced.
     shadow_ = anchor_;
-    if (telemetry::enabled()) {
-      learning_metrics().rollbacks.add(1);
-    }
   }
   shadow_generation_ = 0;
   candidate_.reset();
@@ -401,21 +319,64 @@ LearningStats LearningPipeline::stats() const {
   s.discarded = queue_.discarded();
   s.queue_depth = queue_.depth();
   std::lock_guard lock(trainer_mutex_);
-  s.samples_trained = samples_trained_;
-  s.samples_lost = samples_lost_;
-  s.train_pulses = train_pulses_;
-  s.trainer_deaths = trainer_deaths_;
-  s.trainer_restarts = trainer_restarts_;
-  s.checkpoints = checkpoints_;
-  s.checkpoint_failures = checkpoint_failures_;
-  s.checkpoint_restores = checkpoint_restores_;
-  s.canary_publications = publications_;
-  s.promotes = promotes_;
-  s.rollbacks = rollbacks_;
+  s.samples_trained = samples_trained_.load(std::memory_order_relaxed);
+  s.samples_lost = samples_lost_.load(std::memory_order_relaxed);
+  s.train_pulses = train_pulses_.load(std::memory_order_relaxed);
+  s.trainer_deaths = trainer_deaths_.load(std::memory_order_relaxed);
+  s.trainer_restarts = trainer_restarts_.load(std::memory_order_relaxed);
+  s.checkpoints = checkpoints_.load(std::memory_order_relaxed);
+  s.checkpoint_failures = checkpoint_failures_.load(std::memory_order_relaxed);
+  s.checkpoint_restores = checkpoint_restores_.load(std::memory_order_relaxed);
+  s.canary_publications = publications_.load(std::memory_order_relaxed);
+  s.promotes = promotes_.load(std::memory_order_relaxed);
+  s.rollbacks = rollbacks_.load(std::memory_order_relaxed);
   s.canary_active = active_seq_ != 0;
   s.shadow_generation = shadow_generation_;
   s.ledger = ledger_locked();
   return s;
+}
+
+std::vector<telemetry::CounterSample> LearningPipeline::counter_readings()
+    const {
+  const auto load = [](const std::atomic<std::uint64_t>& v) {
+    return v.load(std::memory_order_relaxed);
+  };
+  return {
+      {"trident_learning_feedback_offered_total",
+       "labelled feedback samples offered to the stream", queue_.offered()},
+      {"trident_learning_feedback_dropped_total",
+       "feedback samples dropped at the stream (full or closed)",
+       queue_.dropped()},
+      {"trident_learning_samples_trained_total",
+       "feedback samples consumed by completed training pulses",
+       load(samples_trained_)},
+      {"trident_learning_samples_lost_total",
+       "feedback samples consumed by pulses that died mid-train",
+       load(samples_lost_)},
+      {"trident_learning_train_pulses_total",
+       "completed shadow retraining pulses", load(train_pulses_)},
+      {"trident_learning_trainer_deaths_total",
+       "shadow trainer incarnations killed by HardwareFailure",
+       load(trainer_deaths_)},
+      {"trident_learning_trainer_restarts_total",
+       "shadow trainer re-incarnations", load(trainer_restarts_)},
+      {"trident_learning_checkpoints_total", "atomic shadow snapshots written",
+       load(checkpoints_)},
+      {"trident_learning_checkpoint_failures_total",
+       "checkpoint attempts that failed (no torn file remains)",
+       load(checkpoint_failures_)},
+      {"trident_learning_checkpoint_restores_total",
+       "trainer restarts healed from the on-disk checkpoint",
+       load(checkpoint_restores_)},
+      {"trident_learning_canary_publications_total",
+       "shadow weight sets published to the canary stage",
+       load(publications_)},
+      {"trident_learning_promotes_total",
+       "canary candidates promoted to incumbent", load(promotes_)},
+      {"trident_learning_rollbacks_total",
+       "canary candidates rolled back (incumbent untouched)",
+       load(rollbacks_)},
+  };
 }
 
 }  // namespace trident::learning

@@ -16,9 +16,10 @@
 // Every retraining pulse and re-programming write is billed: the trainer
 // backend's PhotonicLedger folds across trainer deaths exactly the way
 // serving replica ledgers do (retired + live, never dropped, never
-// double-counted), and the pipeline's own counters are mirrored into
-// trident_learning_* telemetry one-for-one — chaos::check_learning_soak
-// audits both sets of books after a soak.
+// double-counted) — chaos::check_learning_soak audits the books after a
+// soak.  The trident_learning_*_total counters are these same books: the
+// metrics registry collects them from the pipeline (and the feedback
+// queue) at snapshot time rather than keeping a copy.
 //
 // Threading contract: feed() and observe_response() are thread-safe (they
 // are designed to be called from serving completion hooks).  train_pulse,
@@ -28,6 +29,7 @@
 // deterministic harness.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -40,6 +42,7 @@
 #include "learning/feedback.hpp"
 #include "nn/mlp.hpp"
 #include "serving/server.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace trident::learning {
 
@@ -183,6 +186,8 @@ class LearningPipeline {
   /// and heal from the checkpoint if budget remains.
   void handle_trainer_death(std::size_t samples_in_flight);
   [[nodiscard]] core::PhotonicLedger ledger_locked() const;
+  /// The pipeline's counters as the metrics registry collects them.
+  [[nodiscard]] std::vector<telemetry::CounterSample> counter_readings() const;
 
   serving::Server& server_;
   LearningConfig config_;
@@ -198,23 +203,29 @@ class LearningPipeline {
   int incarnation_ = 0;
   bool trainer_dead_ = false;
   core::PhotonicLedger retired_ledger_;
-  std::uint64_t samples_trained_ = 0;
-  std::uint64_t samples_lost_ = 0;
-  std::uint64_t train_pulses_ = 0;
-  std::uint64_t trainer_deaths_ = 0;
-  std::uint64_t trainer_restarts_ = 0;
-  std::uint64_t checkpoints_ = 0;
-  std::uint64_t checkpoint_failures_ = 0;
-  std::uint64_t checkpoint_restores_ = 0;
-  std::uint64_t publications_ = 0;
-  std::uint64_t promotes_ = 0;
-  std::uint64_t rollbacks_ = 0;
+  // Written only under trainer_mutex_, but atomic so the metrics collector
+  // reads them without waiting out a training pulse that holds the mutex.
+  std::atomic<std::uint64_t> samples_trained_{0};
+  std::atomic<std::uint64_t> samples_lost_{0};
+  std::atomic<std::uint64_t> train_pulses_{0};
+  std::atomic<std::uint64_t> trainer_deaths_{0};
+  std::atomic<std::uint64_t> trainer_restarts_{0};
+  std::atomic<std::uint64_t> checkpoints_{0};
+  std::atomic<std::uint64_t> checkpoint_failures_{0};
+  std::atomic<std::uint64_t> checkpoint_restores_{0};
+  std::atomic<std::uint64_t> publications_{0};
+  std::atomic<std::uint64_t> promotes_{0};
+  std::atomic<std::uint64_t> rollbacks_{0};
   std::uint64_t shadow_generation_ = 0;
   std::uint64_t active_seq_ = 0;
 
   mutable std::mutex obs_mutex_;
   CanaryController controller_;
   bool observing_ = false;  ///< windows accumulate only while a canary runs
+
+  /// Registry collector over the books above.  Last member: destroyed
+  /// first, so its fold reads them while they still exist.
+  telemetry::MetricsRegistry::CollectorHandle collector_;
 };
 
 }  // namespace trident::learning

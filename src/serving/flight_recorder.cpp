@@ -9,29 +9,10 @@
 #include "common/error.hpp"
 #include "state/snapshot.hpp"
 #include "telemetry/exporters.hpp"
-#include "telemetry/metrics.hpp"
-#include "telemetry/telemetry.hpp"
 
 namespace trident::serving {
 
 namespace {
-
-struct FlightMetrics {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& kept = reg.counter(
-      "trident_flight_records_kept_total",
-      "request records retained by the flight recorder's tail sampler");
-  telemetry::Counter& evicted =
-      reg.counter("trident_flight_records_evicted_total",
-                  "flight records evicted from the bounded ring");
-  telemetry::Counter& dumps = reg.counter(
-      "trident_flight_dumps_total", "flight-recorder postmortem dumps written");
-};
-
-FlightMetrics& flight_metrics() {
-  static FlightMetrics m;
-  return m;
-}
 
 [[nodiscard]] std::string format_double(double v) {
   char buf[32];
@@ -133,14 +114,8 @@ void FlightRecorder::observe(FlightRecord record) {
     // Bounded by construction: drop the oldest record, count the loss.
     ring_.erase(ring_.begin());
     ++evicted_;
-    if (telemetry::enabled()) {
-      flight_metrics().evicted.add(1);
-    }
   }
   ring_.push_back(std::move(record));
-  if (telemetry::enabled()) {
-    flight_metrics().kept.add(1);
-  }
 }
 
 std::string FlightRecorder::render(std::string_view reason) const {
@@ -194,9 +169,6 @@ void FlightRecorder::dump(const std::string& path,
                           std::string_view reason) const {
   state::atomic_write_file(path, render(reason));
   dumps_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::enabled()) {
-    flight_metrics().dumps.add(1);
-  }
 }
 
 FlightDumpInfo FlightRecorder::verify(std::string_view bytes) {

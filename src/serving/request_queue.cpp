@@ -11,15 +11,8 @@ namespace trident::serving {
 namespace {
 
 struct QueueMetrics {
-  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& accepted =
-      reg.counter("trident_serving_requests_accepted_total",
-                  "requests admitted into the serving queue");
-  telemetry::Counter& shed =
-      reg.counter("trident_serving_requests_shed_total",
-                  "requests rejected by admission control");
-  telemetry::Gauge& depth = reg.gauge("trident_serving_queue_depth",
-                                      "requests waiting in the serving queue");
+  telemetry::Gauge& depth = telemetry::MetricsRegistry::global().gauge(
+      "trident_serving_queue_depth", "requests waiting in the serving queue");
 };
 
 QueueMetrics& queue_metrics() {
@@ -54,9 +47,6 @@ AdmitResult RequestQueue::push(Request& r) {
         policy_ == OverloadPolicy::kReject ? watermark_ : capacity_;
     if (queue_.size() >= limit) {
       ++shed_;
-      if (telemetry::enabled()) {
-        queue_metrics().shed.add(1);
-      }
       return AdmitResult::kShed;
     }
     r.admitted = Clock::now();
@@ -65,9 +55,7 @@ AdmitResult RequestQueue::push(Request& r) {
     // Published under the lock so a concurrent push/pop cannot overwrite
     // the gauge with a staler depth.
     if (telemetry::enabled()) {
-      QueueMetrics& m = queue_metrics();
-      m.accepted.add(1);
-      m.depth.set(static_cast<double>(queue_.size()));
+      queue_metrics().depth.set(static_cast<double>(queue_.size()));
     }
   }
   not_empty_cv_.notify_one();

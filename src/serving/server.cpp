@@ -24,29 +24,6 @@ namespace {
 
 struct ServerMetrics {
   telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
-  telemetry::Counter& completed =
-      reg.counter("trident_serving_requests_completed_total",
-                  "requests served to completion");
-  telemetry::Counter& failed =
-      reg.counter("trident_serving_requests_failed_total",
-                  "requests answered with an explicit kFailed response");
-  telemetry::Counter& retries =
-      reg.counter("trident_serving_retries_total",
-                  "requests requeued after a transient fault or replica death");
-  telemetry::Counter& batches = reg.counter(
-      "trident_serving_batches_total", "micro-batches cut and served");
-  telemetry::Counter& slo_violations =
-      reg.counter("trident_serving_slo_violations_total",
-                  "responses slower than the configured sojourn SLO");
-  telemetry::Counter& replica_deaths =
-      reg.counter("trident_serving_replica_deaths_total",
-                  "workers lost to a HardwareFailure");
-  telemetry::Counter& replica_restarts =
-      reg.counter("trident_serving_replica_restarts_total",
-                  "supervisor restarts (new replica incarnations)");
-  telemetry::Counter& stalls =
-      reg.counter("trident_serving_replica_stalls_total",
-                  "replicas flagged past the stall threshold");
   telemetry::Gauge& healthy =
       reg.gauge("trident_serving_replicas_healthy",
                 "replicas currently idle or serving");
@@ -72,12 +49,6 @@ struct ServerMetrics {
                                     "exact median sojourn so far");
   telemetry::Gauge& p99 = reg.gauge("trident_serving_sojourn_p99_seconds",
                                     "exact p99 sojourn so far");
-  telemetry::Counter& weight_swaps =
-      reg.counter("trident_serving_weight_swaps_total",
-                  "hot_swap weight publications");
-  telemetry::Counter& swap_adoptions =
-      reg.counter("trident_serving_weight_swap_adoptions_total",
-                  "replica adoptions of published weights at batch bounds");
   telemetry::Histogram& swap_latency = reg.histogram(
       "trident_serving_weight_swap_latency_seconds",
       telemetry::duration_buckets_seconds(),
@@ -85,41 +56,6 @@ struct ServerMetrics {
   telemetry::Gauge& weights_version =
       reg.gauge("trident_serving_weights_version",
                 "version of the most recently published weights");
-  telemetry::Counter& snapshot_restores =
-      reg.counter("trident_serving_snapshot_restores_total",
-                  "replica restarts healed from the configured snapshot");
-  telemetry::Counter& snapshot_restore_failures =
-      reg.counter("trident_serving_snapshot_restore_failures_total",
-                  "snapshot restores that fell back to published weights");
-  // Tier dispatch: the two counters partition completed responses exactly
-  // (quantized + exact == completed), which the metrics validator checks.
-  telemetry::Counter& quantized_dispatch =
-      reg.counter("trident_quantized_dispatch_total",
-                  "responses served by the int8 quantized tier");
-  telemetry::Counter& exact_dispatch =
-      reg.counter("trident_exact_dispatch_total",
-                  "responses served by the exact device-model tier");
-  telemetry::Counter& fast_fallbacks =
-      reg.counter("trident_serving_fast_fallbacks_total",
-                  "kFast requests served exact (replica has no quantized "
-                  "tier)");
-  // Canary arm dispatch: the two counters partition completed responses
-  // exactly (canary + incumbent == completed), mirroring the tier law.
-  telemetry::Counter& canary_dispatch =
-      reg.counter("trident_canary_dispatch_total",
-                  "responses served by the candidate (canary) weights");
-  telemetry::Counter& incumbent_dispatch =
-      reg.counter("trident_incumbent_dispatch_total",
-                  "responses served by the incumbent weights");
-  telemetry::Counter& canary_starts =
-      reg.counter("trident_serving_canary_starts_total",
-                  "candidate weight sets published to the canary stage");
-  telemetry::Counter& canary_promotes =
-      reg.counter("trident_serving_canary_promotes_total",
-                  "canaries promoted to incumbent via hot_swap");
-  telemetry::Counter& canary_rollbacks =
-      reg.counter("trident_serving_canary_rollbacks_total",
-                  "canaries rolled back (candidate discarded)");
   telemetry::Gauge& canary_version =
       reg.gauge("trident_serving_canary_version",
                 "live canary publication sequence (0 = none active)");
@@ -219,6 +155,8 @@ Server::Server(const nn::Mlp& model, const ServerConfig& config)
   if (telemetry::enabled()) {
     server_metrics().healthy.set(static_cast<double>(config.replicas));
   }
+  collector_ = telemetry::MetricsRegistry::global().add_collector(
+      [this] { return counter_readings(); });
 }
 
 Server::~Server() { drain(); }
@@ -314,9 +252,6 @@ std::optional<std::future<Response>> Server::submit(
       // or service happened.  Count it here, once.
       request.deadline_violation_counted = true;
       slo_violations_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::enabled()) {
-        server_metrics().slo_violations.add(1);
-      }
     }
   }
   std::future<Response> future = request.promise.get_future();
@@ -378,9 +313,6 @@ void Server::worker_loop(Replica& replica) {
       // Hardware gone: hand the replica to the supervisor and exit.
       replica.state.store(ReplicaState::kDead, std::memory_order_release);
       deaths_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::enabled()) {
-        server_metrics().replica_deaths.add(1);
-      }
       death_pending_.store(true, std::memory_order_release);
       supervisor_cv_.notify_all();
       return;
@@ -397,7 +329,6 @@ bool Server::serve_batch(Replica& replica, std::vector<Request>& batch) {
   const bool telem = telemetry::enabled();
   if (telem) {
     ServerMetrics& m = server_metrics();
-    m.batches.add(1);
     m.batch_size.observe(static_cast<double>(n));
     Clock::time_point oldest = batch.front().admitted;
     for (const Request& r : batch) {
@@ -434,9 +365,6 @@ bool Server::serve_batch(Replica& replica, std::vector<Request>& batch) {
                       replica.backend.fast != nullptr;
     if (r.tier == ServingTier::kFast && !fast) {
       fast_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      if (telem) {
-        server_metrics().fast_fallbacks.add(1);
-      }
     }
     const bool canary = canary_live && route_to_canary(r.trace.trace_id,
                                                        percent);
@@ -581,20 +509,6 @@ bool Server::serve_group(Replica& replica, std::vector<Request>& group,
         ServerMetrics& m = server_metrics();
         m.service.observe(service_s);
         m.sojourn.observe(response.timing.sojourn_s);
-        m.completed.add(1);
-        if (served == ServingTier::kFast) {
-          m.quantized_dispatch.add(1);
-        } else {
-          m.exact_dispatch.add(1);
-        }
-        if (canary_arm) {
-          m.canary_dispatch.add(1);
-        } else {
-          m.incumbent_dispatch.add(1);
-        }
-        if (violated) {
-          m.slo_violations.add(1);
-        }
         // Retro-dated per-request phases with the request's OWN trace id
         // (the batch span carries the head's): queue wait measured from
         // admission to the batch cut, then the service attempt.  Together
@@ -686,7 +600,6 @@ void Server::retry_or_fail(Request&& r, const std::string& why, int replica,
   }
   retries_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry::enabled()) {
-    server_metrics().retries.add(1);
     // The retry edge: an instant-like event on the request's trace naming
     // the attempt that failed and where it failed.
     telemetry::TraceBuffer& tb = telemetry::TraceBuffer::global();
@@ -720,9 +633,6 @@ void Server::fail_request(Request&& r, const std::string& why) {
     response.deadline_missed = now > *r.deadline;
   }
   failed_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::enabled()) {
-    server_metrics().failed.add(1);
-  }
   if (flight_) {
     FlightRecord rec;
     rec.trace_id = r.trace.trace_id;
@@ -793,9 +703,6 @@ void Server::supervisor_loop() {
               !replica->stall_flagged.exchange(true,
                                                std::memory_order_relaxed)) {
             stalls_.fetch_add(1, std::memory_order_relaxed);
-            if (telemetry::enabled()) {
-              server_metrics().stalls.add(1);
-            }
           }
         }
       }
@@ -832,9 +739,7 @@ void Server::publish_incumbent(std::shared_ptr<const nn::ExecutionPlan> plan) {
   }
   swaps_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry::enabled()) {
-    ServerMetrics& m = server_metrics();
-    m.weight_swaps.add(1);
-    m.weights_version.set(
+    server_metrics().weights_version.set(
         static_cast<double>(weights_version_.load(std::memory_order_relaxed)));
   }
 }
@@ -877,9 +782,7 @@ std::uint64_t Server::canary_start(
   }
   canary_starts_.fetch_add(1, std::memory_order_relaxed);
   if (telemetry::enabled()) {
-    ServerMetrics& m = server_metrics();
-    m.canary_starts.add(1);
-    m.canary_version.set(static_cast<double>(seq));
+    server_metrics().canary_version.set(static_cast<double>(seq));
   }
   return seq;
 }
@@ -909,16 +812,10 @@ bool Server::canary_end(bool promote) {
     // the promotion.
     publish_incumbent(candidate->plan);
     canary_promotes_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry::enabled()) {
-      server_metrics().canary_promotes.add(1);
-    }
   } else {
     // Rollback is pure bookkeeping: the incumbent was never displaced, so
     // restoring it is a no-op by construction.
     canary_rollbacks_.fetch_add(1, std::memory_order_relaxed);
-    if (telemetry::enabled()) {
-      server_metrics().canary_rollbacks.add(1);
-    }
   }
   if (telemetry::enabled()) {
     server_metrics().canary_version.set(0.0);
@@ -952,9 +849,7 @@ void Server::maybe_adopt_weights(Replica& replica) {
     replica.weights_seen = published->version;
     adoptions_.fetch_add(1, std::memory_order_relaxed);
     if (telemetry::enabled()) {
-      ServerMetrics& m = server_metrics();
-      m.swap_adoptions.add(1);
-      m.swap_latency.observe(
+      server_metrics().swap_latency.observe(
           static_cast<double>(now_ns() - published->published_ns) * 1e-9);
     }
   }
@@ -993,18 +888,12 @@ std::shared_ptr<const nn::ExecutionPlan> Server::restart_plan(
       // of them until its next adoption.
       auto plan = nn::ExecutionPlan::compile(restored, plan_config());
       snapshot_restores_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::enabled()) {
-        server_metrics().snapshot_restores.add(1);
-      }
       return plan;
     } catch (const std::exception&) {
       // Missing/corrupt snapshot: degrade to the published weights rather
       // than refuse to heal — availability first, and the counter makes
       // the degradation observable.
       snapshot_restore_failures_.fetch_add(1, std::memory_order_relaxed);
-      if (telemetry::enabled()) {
-        server_metrics().snapshot_restore_failures.add(1);
-      }
     }
   }
   return published->plan;
@@ -1047,9 +936,6 @@ void Server::restart_replica(Replica& replica) {
   replica.canary_percent = 0;
   replica.backend = make_backend(replica.index, incarnation);
   restarts_.fetch_add(1, std::memory_order_relaxed);
-  if (telemetry::enabled()) {
-    server_metrics().replica_restarts.add(1);
-  }
   start_worker(replica);
 }
 
@@ -1158,6 +1044,92 @@ ServerStats Server::stats() const {
   }
   publish_slo_gauges(s.sojourn);
   return s;
+}
+
+std::vector<telemetry::CounterSample> Server::counter_readings() const {
+  const auto load = [](const std::atomic<std::uint64_t>& v) {
+    return v.load(std::memory_order_relaxed);
+  };
+  std::vector<telemetry::CounterSample> out = {
+      {"trident_serving_requests_submitted_total",
+       "submit() calls past input validation (admitted, shed or refused)",
+       load(submitted_)},
+      {"trident_serving_rejected_inputs_total",
+       "submit() calls refused before admission: wrong width, NaN or "
+       "infinity",
+       load(rejected_inputs_)},
+      {"trident_serving_requests_accepted_total",
+       "requests admitted into the serving queue", queue_.accepted()},
+      {"trident_serving_requests_shed_total",
+       "requests rejected by admission control", queue_.shed()},
+      {"trident_serving_requests_completed_total",
+       "requests served to completion", load(completed_)},
+      {"trident_serving_requests_failed_total",
+       "requests answered with an explicit kFailed response", load(failed_)},
+      {"trident_serving_retries_total",
+       "requests requeued after a transient fault or replica death",
+       load(retries_)},
+      {"trident_serving_batches_total", "micro-batches cut and served",
+       load(batches_)},
+      {"trident_serving_slo_violations_total",
+       "responses slower than the configured sojourn SLO",
+       load(slo_violations_)},
+      {"trident_serving_replica_deaths_total",
+       "workers lost to a HardwareFailure", load(deaths_)},
+      {"trident_serving_replica_restarts_total",
+       "supervisor restarts (new replica incarnations)", load(restarts_)},
+      {"trident_serving_replica_stalls_total",
+       "replicas flagged past the stall threshold", load(stalls_)},
+      {"trident_serving_weight_swaps_total", "hot_swap weight publications",
+       load(swaps_)},
+      {"trident_serving_weight_swap_adoptions_total",
+       "replica adoptions of published weights at batch bounds",
+       load(adoptions_)},
+      {"trident_serving_snapshot_restores_total",
+       "replica restarts healed from the configured snapshot",
+       load(snapshot_restores_)},
+      {"trident_serving_snapshot_restore_failures_total",
+       "snapshot restores that fell back to published weights",
+       load(snapshot_restore_failures_)},
+      // The tier pair and the arm pair each partition completed responses
+      // exactly (quantized + exact == canary + incumbent == completed),
+      // which the metrics validator checks.
+      {"trident_quantized_dispatch_total",
+       "responses served by the int8 quantized tier",
+       load(quantized_dispatches_)},
+      {"trident_exact_dispatch_total",
+       "responses served by the exact device-model tier",
+       load(exact_dispatches_)},
+      {"trident_serving_fast_fallbacks_total",
+       "kFast requests served exact (replica has no quantized tier)",
+       load(fast_fallbacks_)},
+      {"trident_canary_dispatch_total",
+       "responses served by the candidate (canary) weights",
+       load(canary_dispatches_)},
+      {"trident_incumbent_dispatch_total",
+       "responses served by the incumbent weights",
+       load(incumbent_dispatches_)},
+      {"trident_serving_canary_starts_total",
+       "candidate weight sets published to the canary stage",
+       load(canary_starts_)},
+      {"trident_serving_canary_promotes_total",
+       "canaries promoted to incumbent via hot_swap", load(canary_promotes_)},
+      {"trident_serving_canary_rollbacks_total",
+       "canaries rolled back (candidate discarded)", load(canary_rollbacks_)},
+  };
+  if (flight_) {
+    out.push_back({"trident_flight_records_kept_total",
+                   "request records retained by the flight recorder's tail "
+                   "sampler",
+                   flight_->kept()});
+    out.push_back({"trident_flight_records_evicted_total",
+                   "flight records evicted from the bounded ring",
+                   flight_->evicted()});
+    out.push_back({"trident_flight_dumps_total",
+                   "flight-recorder postmortem dumps written",
+                   flight_->dumps()});
+  }
+  return out;
 }
 
 std::vector<ReplicaHealth> Server::health() const {

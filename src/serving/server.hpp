@@ -65,6 +65,7 @@
 #include "serving/request_queue.hpp"
 #include "serving/slo.hpp"
 #include "state/snapshot.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace trident::serving {
 
@@ -212,7 +213,8 @@ struct ServerStats {
   std::uint64_t incumbent_dispatches = 0;
   /// Tier dispatch accounting.  Every completed response is exactly one of
   /// the two (quantized + exact == completed — the metrics validator checks
-  /// the telemetry mirror of this invariant).
+  /// it on the exported trident_{quantized,exact}_dispatch_total, which the
+  /// registry reads from these books).
   std::uint64_t quantized_dispatches = 0;  ///< responses served by the int8 tier
   std::uint64_t exact_dispatches = 0;      ///< responses served exact
   std::uint64_t fast_fallbacks = 0;  ///< kFast requests served exact (no tier)
@@ -449,6 +451,9 @@ class Server {
   /// Publishes exact p50/p99 sojourn gauges to telemetry (no-op when
   /// telemetry is off).
   void publish_slo_gauges(const LatencySummary& sojourn) const;
+  /// This server's counters (its own, the queue's and the flight
+  /// recorder's), as the metrics registry collects them.
+  [[nodiscard]] std::vector<telemetry::CounterSample> counter_readings() const;
 
   ServerConfig config_;
   int input_dim_ = 0;
@@ -516,6 +521,10 @@ class Server {
 
   mutable std::mutex drain_mutex_;
   bool drained_ = false;
+
+  /// Registry collector over the books above.  Last member: destroyed
+  /// first, so its fold reads them while they still exist.
+  telemetry::MetricsRegistry::CollectorHandle collector_;
 };
 
 }  // namespace trident::serving

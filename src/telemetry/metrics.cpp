@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -171,20 +172,81 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
   return *slot.second;
 }
 
+MetricsRegistry::CollectorHandle::CollectorHandle(
+    CollectorHandle&& other) noexcept
+    : registry_(std::exchange(other.registry_, nullptr)),
+      id_(std::exchange(other.id_, 0)) {}
+
+MetricsRegistry::CollectorHandle& MetricsRegistry::CollectorHandle::operator=(
+    CollectorHandle&& other) noexcept {
+  if (this != &other) {
+    release();
+    registry_ = std::exchange(other.registry_, nullptr);
+    id_ = std::exchange(other.id_, 0);
+  }
+  return *this;
+}
+
+MetricsRegistry::CollectorHandle::~CollectorHandle() { release(); }
+
+void MetricsRegistry::CollectorHandle::release() {
+  if (registry_ != nullptr) {
+    registry_->fold_collector(id_);
+    registry_ = nullptr;
+  }
+}
+
+MetricsRegistry::CollectorHandle MetricsRegistry::add_collector(
+    Collector collect) {
+  std::lock_guard lock(collectors_mutex_);
+  const std::uint64_t id = next_collector_id_++;
+  collectors_.emplace(id, std::move(collect));
+  return CollectorHandle(this, id);
+}
+
+void MetricsRegistry::fold_collector(std::uint64_t id) {
+  // Read, unregister and fold under one hold of the list lock, so a
+  // snapshot sees the owner's books either live or folded — never both,
+  // never neither.
+  std::lock_guard lock(collectors_mutex_);
+  const auto it = collectors_.find(id);
+  const std::vector<CounterSample> last = it->second();
+  collectors_.erase(it);
+  for (const CounterSample& c : last) {
+    counter(c.name, c.help).add(c.value);
+  }
+}
+
 MetricsSnapshot MetricsRegistry::snapshot() const {
-  std::lock_guard lock(mutex_);
+  std::lock_guard collect_lock(collectors_mutex_);
   MetricsSnapshot s;
-  s.counters.reserve(counters_.size());
-  for (const auto& [name, entry] : counters_) {
-    s.counters.push_back({name, entry.first, entry.second->value()});
+  std::map<std::string, CounterSample> counters;
+  {
+    std::lock_guard lock(mutex_);
+    for (const auto& [name, entry] : counters_) {
+      counters.emplace(name,
+                       CounterSample{name, entry.first, entry.second->value()});
+    }
+    s.gauges.reserve(gauges_.size());
+    for (const auto& [name, entry] : gauges_) {
+      s.gauges.push_back({name, entry.first, entry.second->value()});
+    }
+    s.histograms.reserve(histograms_.size());
+    for (const auto& [name, entry] : histograms_) {
+      s.histograms.push_back({name, entry.first, entry.second->snapshot()});
+    }
   }
-  s.gauges.reserve(gauges_.size());
-  for (const auto& [name, entry] : gauges_) {
-    s.gauges.push_back({name, entry.first, entry.second->value()});
+  for (const auto& [id, collect] : collectors_) {
+    for (CounterSample& c : collect()) {
+      const auto [it, inserted] = counters.try_emplace(c.name, c);
+      if (!inserted) {
+        it->second.value += c.value;
+      }
+    }
   }
-  s.histograms.reserve(histograms_.size());
-  for (const auto& [name, entry] : histograms_) {
-    s.histograms.push_back({name, entry.first, entry.second->snapshot()});
+  s.counters.reserve(counters.size());
+  for (auto& [name, sample] : counters) {
+    s.counters.push_back(std::move(sample));
   }
   return s;
 }

@@ -1,7 +1,26 @@
 // Thread-safe metrics registry: counters, gauges and fixed-bucket
 // histograms with Welford running statistics (common/stats.hpp).
 //
-// Usage pattern (the only one the hot paths use):
+// A counter has one source of truth.  When an owner already keeps the
+// count in its own books (the Server's atomics, a fleet's tenant accounts,
+// the learning pipeline, the chaos injection log), the registry COLLECTS
+// it: the owner registers one callback that reports its counters by name,
+// and snapshot() reads them.
+//
+//   collector_ = telemetry::MetricsRegistry::global().add_collector([this] {
+//     return std::vector<telemetry::CounterSample>{
+//         {"trident_serving_batches_total", "micro-batches cut and served",
+//          batches_.load(std::memory_order_relaxed)}};
+//   });
+//
+// The handle is the owner's last-declared member, so it is destroyed first
+// while the books it reads still exist; its destructor folds the owner's
+// last reading into the registry's own counter of each name, so process
+// totals outlive the owner.  Collection costs nothing until a snapshot is
+// taken and ignores telemetry::enabled().
+//
+// Any other counter — one no owner keeps — is PUSHED, as are gauges and
+// histograms:
 //
 //   namespace {
 //   struct Metrics {
@@ -24,11 +43,13 @@
 //
 // References returned by the registry are stable for the process lifetime
 // (the registry is an intentionally leaked singleton, so worker threads
-// may record during static destruction without ordering hazards).
+// may record, and owners fold, during static destruction without ordering
+// hazards).
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -154,6 +175,32 @@ struct MetricsSnapshot {
 /// same instrument (the first help string and bucket layout win).
 class MetricsRegistry {
  public:
+  /// Reports the counters an owner keeps in its own books, by name.  Runs
+  /// on the snapshotting thread: it must only read relaxed atomics or take
+  /// a short owner lock, never block on a long one.
+  using Collector = std::function<std::vector<CounterSample>()>;
+
+  /// Keeps one collector registered.  Move-only; destroying it takes the
+  /// collector-list lock (so it waits out an in-flight snapshot), reads the
+  /// owner one last time and adds that reading into the registry's own
+  /// counters.  The owner holds it as its last-declared member.
+  class CollectorHandle {
+   public:
+    CollectorHandle() = default;
+    CollectorHandle(CollectorHandle&& other) noexcept;
+    CollectorHandle& operator=(CollectorHandle&& other) noexcept;
+    ~CollectorHandle();
+
+   private:
+    friend class MetricsRegistry;
+    CollectorHandle(MetricsRegistry* registry, std::uint64_t id)
+        : registry_(registry), id_(id) {}
+    void release();
+
+    MetricsRegistry* registry_ = nullptr;
+    std::uint64_t id_ = 0;
+  };
+
   /// The process-wide registry every instrumentation site uses.
   static MetricsRegistry& global();
 
@@ -166,13 +213,30 @@ class MetricsRegistry {
   Histogram& histogram(const std::string& name, std::vector<double> bounds,
                        const std::string& help = "");
 
+  /// Registers `collect` until the returned handle is destroyed.
+  [[nodiscard]] CollectorHandle add_collector(Collector collect);
+
+  /// Every counter name reports the registry's own Counter plus the sum of
+  /// every live collector's value of that name.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Zeroes every instrument's value (registrations and the references
-  /// handed out stay valid).  For tests and per-phase benches.
+  /// Zeroes the registry's own instruments, the folds of dead owners
+  /// included (registrations and the references handed out stay valid).
+  /// A live owner's books are left alone: callers reset before they build
+  /// the owners they measure.  For tests and per-phase benches.
   void reset_values();
 
  private:
+  /// Removes collector `id`, folding its last reading into counter().
+  void fold_collector(std::uint64_t id);
+
+  /// Taken before mutex_ whenever both are held; collectors run under this
+  /// lock alone, because an owner may register instruments (mutex_) while
+  /// holding the very lock its collector takes.
+  mutable std::mutex collectors_mutex_;
+  std::map<std::uint64_t, Collector> collectors_;
+  std::uint64_t next_collector_id_ = 1;
+
   mutable std::mutex mutex_;
   std::map<std::string, std::pair<std::string, std::unique_ptr<Counter>>>
       counters_;

@@ -1,7 +1,7 @@
 // Fleet chaos soak: scripted whole-node death, a partitioned router view
 // that keeps placing onto the corpse until its heartbeat expires, and the
-// fleet-wide conservation sweep (request books, tenant partition,
-// telemetry mirror, energy ledger) across the churn.
+// fleet-wide conservation sweep (request books, tenant partition, energy
+// ledger) across the churn.
 //
 // Reproduction contract: as in test_chaos_serving, the fault schedule
 // derives from ONE seed (TRIDENT_CHAOS_SEED, fixed default otherwise),

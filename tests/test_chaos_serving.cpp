@@ -79,8 +79,9 @@ nn::Vector seeded_input(std::uint64_t seed) {
   return x;
 }
 
-/// Fresh telemetry epoch for mirror checks: the registry is process-global
-/// and cumulative, so each test zeroes it before its own fleet runs.
+/// Fresh telemetry epoch for the energy-book checks: the per-pulse
+/// trident_ledger_* counters are process-global and cumulative, so each
+/// test zeroes them before its own server runs.
 void reset_telemetry() {
   telemetry::set_enabled(true);
   telemetry::MetricsRegistry::global().reset_values();
@@ -185,11 +186,9 @@ TEST(ChaosSoak, KilledReplicaSelfHealsUnderLoad) {
     EXPECT_NE(h.state, ReplicaState::kDead);
   }
 
-  // The full invariant sweep: request conservation, telemetry mirror
-  // (including the injection-log ↔ trident_chaos_* double entry), queue
-  // bounds.  Print the violations with the seed so the failure replays.
-  const InvariantReport report =
-      check_soak(server, stats, /*load=*/nullptr, &injected);
+  // The full invariant sweep: request conservation and queue bounds.
+  // Print the violations with the seed so the failure replays.
+  const InvariantReport report = check_soak(server, stats);
   EXPECT_TRUE(report.ok()) << "invariants violated under seed " << seed
                            << ":\n"
                            << report.to_string();
@@ -225,8 +224,7 @@ TEST(ChaosSoak, PoissonLoadReportAgreesWithServerBooks) {
   server.drain();
 
   const ServerStats stats = server.stats();
-  const InjectionCounts injected = log->snapshot();
-  const InvariantReport sweep = check_soak(server, stats, &report, &injected);
+  const InvariantReport sweep = check_soak(server, stats, &report);
   EXPECT_TRUE(sweep.ok()) << "invariants violated under seed " << seed << ":\n"
                           << sweep.to_string();
 }
@@ -338,7 +336,7 @@ TEST(ChaosSoak, FastTierChaosComposesAndKeepsEnergyBooksBalanced) {
   // exact + fast ledgers across live and dead incarnations must equal the
   // process-wide telemetry mirror exactly.
   const InvariantReport report = check_soak(server, stats, /*load=*/nullptr,
-                                            &injected, /*ledger_books=*/true);
+                                            /*ledger_books=*/true);
   EXPECT_TRUE(report.ok()) << "invariants violated under seed " << seed
                            << ":\n"
                            << report.to_string();
@@ -604,9 +602,8 @@ TEST(ChaosRestore, HealedReplicaServesSnapshotWeightsBitIdentical) {
 
   // Full sweep including the energy books: the dead incarnation's pulses
   // are folded exactly once, and the restore billed nothing phantom.
-  const InjectionCounts injected = log->snapshot();
   const InvariantReport report = check_soak(server, stats, /*load=*/nullptr,
-                                            &injected, /*ledger_books=*/true);
+                                            /*ledger_books=*/true);
   EXPECT_TRUE(report.ok()) << report.to_string();
   std::filesystem::remove(snap_path);
 }
@@ -662,9 +659,8 @@ TEST(ChaosRestore, HealedReplicaServesTrainedWeightsNotInitSeed) {
   const ServerStats stats = server.stats();
   EXPECT_GE(stats.snapshot_restores, 1u);
   EXPECT_EQ(stats.snapshot_restore_failures, 0u);
-  const InjectionCounts injected = log->snapshot();
   const InvariantReport report = check_soak(server, stats, /*load=*/nullptr,
-                                            &injected, /*ledger_books=*/true);
+                                            /*ledger_books=*/true);
   EXPECT_TRUE(report.ok()) << report.to_string();
   std::filesystem::remove(snap_path);
 }
@@ -710,9 +706,8 @@ TEST(ChaosRestore, CorruptSnapshotDegradesToPublishedWeights) {
   EXPECT_GE(stats.replica_restarts, 1u);
   EXPECT_EQ(stats.snapshot_restores, 0u);
   EXPECT_EQ(stats.snapshot_restore_failures, stats.replica_restarts);
-  const InjectionCounts injected = log->snapshot();
   const InvariantReport report = check_soak(server, stats, /*load=*/nullptr,
-                                            &injected, /*ledger_books=*/true);
+                                            /*ledger_books=*/true);
   EXPECT_TRUE(report.ok()) << report.to_string();
   std::filesystem::remove(snap_path);
 }

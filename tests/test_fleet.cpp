@@ -40,8 +40,8 @@ nn::Vector seeded_input(std::uint64_t seed) {
   return x;
 }
 
-/// Registry epoch per test: mirror checks compare cumulative process-global
-/// counters against this one fleet's books.
+/// Registry epoch per test: the energy-book checks compare the cumulative
+/// process-global trident_ledger_* counters against this one fleet's books.
 void reset_telemetry() {
   telemetry::set_enabled(true);
   telemetry::MetricsRegistry::global().reset_values();

@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <stop_token>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,6 +26,7 @@
 #include "serving/load_gen.hpp"
 #include "serving/request_queue.hpp"
 #include "serving/slo.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace trident::serving {
 namespace {
@@ -899,6 +902,14 @@ TEST(Server, HostileInputsAreRejectedAtAdmissionOnBothTiers) {
   cfg.admission.capacity = 64;
   cfg.enable_fast_tier = true;
   Server server(model, cfg);
+  // The refusals are exported too: the registry reads this server's books.
+  const auto exported = [](const char* name) {
+    return telemetry::MetricsRegistry::global().snapshot().counter_value(name);
+  };
+  const std::uint64_t exported_rejected_before =
+      exported("trident_serving_rejected_inputs_total");
+  const std::uint64_t exported_submitted_before =
+      exported("trident_serving_requests_submitted_total");
 
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -932,6 +943,11 @@ TEST(Server, HostileInputsAreRejectedAtAdmissionOnBothTiers) {
   }
   EXPECT_EQ(server.stats().rejected_inputs, rejected);
   EXPECT_EQ(server.stats().submitted, 0u);
+  EXPECT_EQ(exported("trident_serving_rejected_inputs_total") -
+                exported_rejected_before,
+            rejected);
+  EXPECT_EQ(exported("trident_serving_requests_submitted_total"),
+            exported_submitted_before);
 
   std::vector<nn::Vector> inputs;
   std::vector<ServingTier> input_tiers;
@@ -975,6 +991,60 @@ TEST(Server, HostileInputsAreRejectedAtAdmissionOnBothTiers) {
   EXPECT_EQ(stats.completed, inputs.size());
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.rejected_inputs, rejected);
+}
+
+TEST(Server, SnapshotsDuringServerChurnCountEveryCompletionOnce) {
+  // One thread snapshots the registry in a loop while servers are built,
+  // serve and are destroyed.  A live server's books are read in place and
+  // folded into the registry when it dies, under the collector-list lock,
+  // so the exported total never drops mid-churn and ends at the sum of the
+  // servers' own books.  The TSan job runs this suite.
+  telemetry::MetricsRegistry& reg = telemetry::MetricsRegistry::global();
+  reg.reset_values();
+  const std::string name = "trident_serving_requests_completed_total";
+  std::atomic<std::uint64_t> snapshots{0};
+  std::atomic<bool> dropped{false};
+  std::jthread reader([&](const std::stop_token& stop) {
+    std::uint64_t last = 0;
+    while (!stop.stop_requested()) {
+      const std::uint64_t now = reg.snapshot().counter_value(name);
+      if (now < last) {
+        dropped.store(true, std::memory_order_relaxed);
+      }
+      last = now;
+      snapshots.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+
+  const nn::Mlp model = test_model();
+  const auto inputs = seeded_inputs(16);
+  std::uint64_t completed = 0;
+  for (int round = 0; round < 6; ++round) {
+    ServerConfig cfg;
+    cfg.replicas = 2;
+    cfg.max_batch = 4;
+    cfg.max_wait = 50us;
+    Server server(model, cfg);
+    std::vector<std::future<Response>> futures;
+    for (const nn::Vector& x : inputs) {
+      auto fut = server.submit(x);
+      if (fut.has_value()) {
+        futures.push_back(std::move(*fut));
+      }
+    }
+    for (auto& fut : futures) {
+      EXPECT_EQ(fut.get().status, ResponseStatus::kOk);
+    }
+    server.drain();
+    completed += server.stats().completed;
+  }
+  reader.request_stop();
+  reader.join();
+
+  EXPECT_EQ(completed, 6u * inputs.size());
+  EXPECT_EQ(reg.snapshot().counter_value(name), completed);
+  EXPECT_FALSE(dropped.load()) << "a snapshot saw the total fall";
+  EXPECT_GT(snapshots.load(), 0u);
 }
 
 TEST(Server, MixedTiersPartitionWithinABatchAndAccountExactly) {

@@ -1,9 +1,13 @@
-// Telemetry subsystem: registry semantics, span recording, exporter
-// formats, the runtime switch, and the ledger-mirror exactness contract.
+// Telemetry subsystem: registry semantics (collectors included), span
+// recording, exporter formats, the runtime switch, and the ledger-mirror
+// exactness contract.
+#include <atomic>
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -173,6 +177,99 @@ TEST_F(TelemetryTest, SnapshotIsSortedByName) {
   for (std::size_t i = 1; i < s.counters.size(); ++i) {
     EXPECT_LT(s.counters[i - 1].name, s.counters[i].name);
   }
+}
+
+// --- collectors -------------------------------------------------------------
+//
+// No skip when telemetry is compiled out: collection reads an owner's books
+// and ignores the runtime switch.  Each test owns a private registry.
+
+/// A stand-in owner: one book, collected under `name`.
+struct Book {
+  Book(MetricsRegistry& reg, std::string name)
+      : handle(reg.add_collector([this, name = std::move(name)] {
+          return std::vector<CounterSample>{{name, "a book", count.load()}};
+        })) {}
+
+  std::atomic<std::uint64_t> count{0};
+  MetricsRegistry::CollectorHandle handle;  ///< last: folds while count lives
+};
+
+TEST_F(TelemetryTest, LiveCollectorShowsInSnapshot) {
+  MetricsRegistry reg;
+  (void)reg.counter("test_aaa_total");
+  Book book(reg, "test_book_total");
+  EXPECT_EQ(reg.snapshot().counter_value("test_book_total"), 0u);
+  book.count = 5;
+  const MetricsSnapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counter_value("test_book_total"), 5u);
+  // Collected names join the registry's own in one name-sorted list.
+  ASSERT_EQ(snap.counters.size(), 2u);
+  EXPECT_EQ(snap.counters[0].name, "test_aaa_total");
+  EXPECT_EQ(snap.counters[1].name, "test_book_total");
+  EXPECT_EQ(snap.counters[1].help, "a book");
+  // The registry reads the book; it keeps no copy of its own.
+  EXPECT_EQ(reg.counter("test_book_total").value(), 0u);
+}
+
+TEST_F(TelemetryTest, CollectorsOfOneNameSum) {
+  MetricsRegistry reg;
+  reg.counter("test_book_total").add(1);
+  Book a(reg, "test_book_total");
+  Book b(reg, "test_book_total");
+  a.count = 3;
+  b.count = 4;
+  const MetricsSnapshot snap = reg.snapshot();
+  // The registry's own counter and both owners add into one entry.
+  EXPECT_EQ(snap.counter_value("test_book_total"), 8u);
+  EXPECT_EQ(snap.counters.size(), 1u);
+}
+
+TEST_F(TelemetryTest, DestroyedCollectorFoldsItsLastReading) {
+  MetricsRegistry reg;
+  {
+    Book book(reg, "test_book_total");
+    book.count = 6;
+  }
+  EXPECT_EQ(reg.counter("test_book_total").value(), 6u);
+  EXPECT_EQ(reg.snapshot().counter_value("test_book_total"), 6u);
+  // A later owner of the name adds to the fold.
+  Book next(reg, "test_book_total");
+  next.count = 2;
+  EXPECT_EQ(reg.snapshot().counter_value("test_book_total"), 8u);
+}
+
+TEST_F(TelemetryTest, ResetValuesZeroesFoldsAndLeavesLiveOwnersAlone) {
+  MetricsRegistry reg;
+  {
+    Book dead(reg, "test_book_total");
+    dead.count = 10;
+  }
+  Book live(reg, "test_book_total");
+  live.count = 3;
+  reg.reset_values();
+  EXPECT_EQ(reg.counter("test_book_total").value(), 0u);
+  EXPECT_EQ(reg.snapshot().counter_value("test_book_total"), 3u);
+  EXPECT_EQ(live.count.load(), 3u);
+}
+
+TEST_F(TelemetryTest, MovedCollectorHandleFoldsOnce) {
+  MetricsRegistry reg;
+  std::atomic<std::uint64_t> count{4};
+  {
+    MetricsRegistry::CollectorHandle outer;
+    {
+      MetricsRegistry::CollectorHandle inner = reg.add_collector([&count] {
+        return std::vector<CounterSample>{
+            {"test_moved_total", "", count.load()}};
+      });
+      outer = std::move(inner);
+    }  // the moved-from handle unregisters nothing
+    EXPECT_EQ(reg.counter("test_moved_total").value(), 0u);
+    EXPECT_EQ(reg.snapshot().counter_value("test_moved_total"), 4u);
+  }
+  EXPECT_EQ(reg.counter("test_moved_total").value(), 4u);
+  EXPECT_EQ(reg.snapshot().counter_value("test_moved_total"), 4u);
 }
 
 // --- switch -----------------------------------------------------------------
