@@ -174,17 +174,14 @@ void BM_Int8GemmBlocked(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto batch = static_cast<std::size_t>(state.range(1));
   Rng rng(5);
-  std::vector<std::int8_t> w(n * n);
+  const nn::PackedPanel w(nn::Matrix::xavier(n, n, rng), SymmetricQuantizer(8));
   std::vector<std::int8_t> x(batch * n);
-  for (std::int8_t& v : w) {
-    v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-  }
   for (std::int8_t& v : x) {
     v = static_cast<std::int8_t>(rng.uniform_int(-127, 127));
   }
   std::vector<std::int32_t> y(batch * n);
   for (auto _ : state) {
-    nn::int8_gemm(w.data(), n, n, x.data(), batch, y.data());
+    nn::int8_gemm(w, x.data(), batch, y.data());
     benchmark::DoNotOptimize(y.data());
   }
   set_gemm_counters(state, n, batch);
@@ -689,10 +686,11 @@ void BM_MlpForwardPlanQuantized(benchmark::State& state) {
 BENCHMARK(BM_MlpForwardPlanQuantized)->Arg(1)->Arg(32);
 
 void BM_PlanForwardPhotonicLarge(benchmark::State& state) {
-  // The exact-tier serving forward of the {512, 1024, 512, 10} model (8.4 MB
-  // of packed panels) at serving batch sizes.  MACs is a rate; bytes is
-  // what one call must move at least: every packed panel once, plus each
-  // layer's input and output block.
+  // The exact-tier serving forward of the {512, 1024, 512, 10} model (1.05
+  // MB of level panels) at serving batch sizes.  MACs is a rate; bytes is
+  // what one call must move at least: every level panel once (one byte per
+  // cell, padding rows included), plus each layer's input and output block
+  // of doubles.
   Rng rng(0x1A63u);
   const nn::Mlp model({512, 1024, 512, 10}, nn::Activation::kGstPhotonic, rng);
   core::PhotonicBackend backend;
@@ -706,8 +704,8 @@ void BM_PlanForwardPhotonicLarge(benchmark::State& state) {
     const nn::PlanLayer& layer = plan->layer(k);
     const double padded_rows = static_cast<double>((layer.rows + 7) / 8 * 8);
     macs += static_cast<double>(batch * layer.rows * layer.cols);
-    bytes += 8.0 * (padded_rows * static_cast<double>(layer.cols) +
-                    static_cast<double>(batch * (layer.rows + layer.cols)));
+    bytes += padded_rows * static_cast<double>(layer.cols) +
+             8.0 * static_cast<double>(batch * (layer.rows + layer.cols));
   }
   for (auto _ : state) {
     const nn::Matrix& y = plan->run(backend, x, arena);

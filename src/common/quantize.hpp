@@ -81,27 +81,19 @@ class SymmetricQuantizer {
     return out;
   }
 
-  // --- bulk level conversion (LUT builders, int8 panel packing) ----------
+  // --- bulk level conversion ---------------------------------------------
   //
-  // The span overloads are the quantized tier's fast path: weight panels
-  // and input blocks convert to level indices in one pass, and the int8
-  // variants feed the integer GEMM kernels directly.
+  // Scalar reference loops.  The int8 panels the GEMMs stream are packed by
+  // the vectorized kernels in nn/matrix.hpp (nn::to_levels,
+  // nn::PackedPanel), bit-identical to to_level per element; every level of
+  // a ≤ 8-bit grid fits a byte ([-127, 127] at 8 bits, so -128 never
+  // appears).
 
   /// out[i] = to_level(xs[i]).  Spans must have equal length.
   void to_levels(std::span<const double> xs, std::span<int> out) const {
     TRIDENT_REQUIRE(xs.size() == out.size(), "to_levels span size mismatch");
     for (std::size_t i = 0; i < xs.size(); ++i) {
       out[i] = to_level(xs[i]);
-    }
-  }
-
-  /// Narrow variant for packed int8 panels; every level of a ≤ 8-bit grid
-  /// fits the byte ([-127, 127] at 8 bits, so -128 never appears).
-  void to_levels(std::span<const double> xs, std::span<std::int8_t> out) const {
-    TRIDENT_REQUIRE(xs.size() == out.size(), "to_levels span size mismatch");
-    TRIDENT_REQUIRE(bits_ <= 8, "int8 levels require bits <= 8");
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-      out[i] = static_cast<std::int8_t>(to_level(xs[i]));
     }
   }
 

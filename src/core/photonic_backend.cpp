@@ -186,85 +186,85 @@ double PhotonicBackend::stochastic_level(double v) {
   return std::clamp(level * step, -1.0, 1.0);
 }
 
-nn::Vector PhotonicBackend::matvec(const nn::Matrix& w, const nn::Vector& x) {
-  TRIDENT_REQUIRE(x.size() == w.cols(), "matvec dimension mismatch");
-  ensure_programmed(w);
-
-  // Input DAC: hardware range is [-1, 1] after the polarity split, so the
-  // vector is electronically pre-scaled into range and the scale re-applied
-  // at the TIA.
-  double x_scale = 1.0;
-  nn::Vector xq(x.size());
-  nn::dac_quantize(x.data(), 1, x.size(), input_quantizer_, &x_scale,
-                   xq.data());
-
-  nn::Vector y(w.rows(), 0.0);
-  for (std::size_t r = 0; r < w.rows(); ++r) {
-    double acc = 0.0;
-    const auto row = w.row(r);
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      // Stored weights are already on the GST grid (rank1_update keeps the
-      // master copy quantized); clamp defends against externally-set
-      // out-of-range values.
-      acc += std::clamp(row[c], -1.0, 1.0) * xq[c];
-    }
-    if (config_.readout_noise > 0.0) {
-      acc += rng_.normal(0.0, config_.readout_noise);
-    }
-    y[r] = acc * x_scale;
-  }
-
-  ledger_.symbols += 1;
-  ledger_.macs += w.size();
-  ledger_.activations += w.rows();
-  if (telemetry::enabled()) {
-    note_ledger(0, 0, 1, w.size(), w.rows());
-    metrics().matvec_calls.add(1);
-    metrics().quantize_passes.add(1);
-  }
-  return y;
+const nn::Matrix& PhotonicBackend::snap(const nn::Matrix& w) {
+  snapped_.reshape(w.rows(), w.cols());  // the storage only grows
+  nn::snap_to_grid(w.data().data(), w.size(), weight_quantizer_,
+                   snapped_.data().data());
+  return snapped_;
 }
 
-nn::Matrix PhotonicBackend::matmul(const nn::Matrix& w, const nn::Matrix& x) {
-  TRIDENT_REQUIRE(x.cols() == w.cols(), "matmul dimension mismatch");
-  ensure_programmed(w);
-  const std::size_t batch = x.rows();
-
-  // One pass over the block: per-sample DAC range scale, then quantize.
-  nn::Vector scale(batch);
-  nn::Matrix xq(batch, w.cols());
-  nn::dac_quantize(x.data().data(), batch, w.cols(), input_quantizer_,
-                   scale.data(), xq.data().data());
-
-  // Saturate and pack the stored weights once per block instead of
-  // clamping once per MAC — the same panel a compiled plan holds.
-  nn::Matrix y(batch, w.rows());
-  nn::PackedPanel(w).matmul_into(xq, y);
-  // Read-out noise and TIA re-scaling, in the same draw order as a loop of
-  // matvec calls (per sample, then per row).
-  for (std::size_t b = 0; b < batch; ++b) {
-    auto yr = y.row(b);
-    for (double& v : yr) {
+void PhotonicBackend::read_out(nn::Matrix& y, const double* scale) {
+  // Read-out noise, then the TIA re-applies the sample's DAC scale: per
+  // sample, then per row — the draw order of a loop of matvec calls.
+  for (std::size_t b = 0; b < y.rows(); ++b) {
+    for (double& v : y.row(b)) {
       if (config_.readout_noise > 0.0) {
         v += rng_.normal(0.0, config_.readout_noise);
       }
       v *= scale[b];
     }
   }
+}
+
+nn::Matrix PhotonicBackend::forward(const nn::Matrix& w, const nn::Matrix& x) {
+  ensure_programmed(w);
+  const std::size_t batch = x.rows();
+
+  // Input DAC: hardware range is [-1, 1] after the polarity split, so each
+  // sample is electronically pre-scaled into range and the scale re-applied
+  // at the TIA.
+  nn::Vector scale(batch);
+  nn::Matrix xq(batch, w.cols());
+  nn::dac_quantize(x.data().data(), batch, w.cols(), input_quantizer_,
+                   scale.data(), xq.data().data());
+
+  // The bank holds level(w): pack it once per block into the per-op panel
+  // — the one a compiled plan holds — or, on a grid wider than a byte,
+  // multiply the same values as doubles.
+  nn::Matrix y(batch, w.rows());
+  if (weight_quantizer_.bits() <= 8) {
+    panel_.pack(w, weight_quantizer_);
+    panel_.matmul_into(xq, y);
+  } else {
+    snap(w).matmul_into(xq, y);
+  }
+  read_out(y, scale.data());
 
   ledger_.symbols += batch;
   ledger_.macs += batch * w.size();
   ledger_.activations += batch * w.rows();
   if (telemetry::enabled()) {
     note_ledger(0, 0, batch, batch * w.size(), batch * w.rows());
-    metrics().matmul_calls.add(1);
     metrics().quantize_passes.add(1);
+  }
+  return y;
+}
+
+nn::Vector PhotonicBackend::matvec(const nn::Matrix& w, const nn::Vector& x) {
+  TRIDENT_REQUIRE(x.size() == w.cols(), "matvec dimension mismatch");
+  nn::Matrix xm(1, x.size());
+  std::copy(x.begin(), x.end(), xm.data().begin());
+  nn::Matrix y = forward(w, xm);
+  if (telemetry::enabled()) {
+    metrics().matvec_calls.add(1);
+  }
+  return std::move(y.data());
+}
+
+nn::Matrix PhotonicBackend::matmul(const nn::Matrix& w, const nn::Matrix& x) {
+  TRIDENT_REQUIRE(x.cols() == w.cols(), "matmul dimension mismatch");
+  nn::Matrix y = forward(w, x);
+  if (telemetry::enabled()) {
+    metrics().matmul_calls.add(1);
   }
   return y;
 }
 
 bool PhotonicBackend::run_plan(const nn::ExecutionPlan& plan,
                                const nn::Matrix& x, nn::PlanArena& arena) {
+  if (plan.config().weight_bits != config_.weight_bits) {
+    return false;  // the panels hold another grid's levels — interpret per-op
+  }
   const std::size_t batch = x.rows();
   const int depth = plan.depth();
   const nn::Matrix* cur = &x;
@@ -272,12 +272,12 @@ bool PhotonicBackend::run_plan(const nn::ExecutionPlan& plan,
   nn::Matrix& xq = arena.quantized();
   for (int k = 0; k < depth; ++k) {
     const nn::PlanLayer& layer = plan.layer(k);
-    // Programming is keyed on the plan's own panel: with depth ≥ 2 the
+    // Programming is keyed on the plan's own weights: with depth ≥ 2 the
     // bank churns through the layers exactly as the per-op path churns
     // through the model's matrices, so the billing pattern is identical.
     ensure_programmed(layer.weights);
 
-    // Input DAC, same pass as matmul but into arena scratch.
+    // Input DAC, same pass as forward but into arena scratch.
     xq.reshape(batch, layer.cols);
     nn::dac_quantize(cur->data().data(), batch, layer.cols, input_quantizer_,
                      scale.data(), xq.data().data());
@@ -285,20 +285,10 @@ bool PhotonicBackend::run_plan(const nn::ExecutionPlan& plan,
     const bool last = (k == depth - 1);
     nn::Matrix& y = last ? arena.out() : arena.act(k);
     y.reshape(batch, layer.rows);
-    // The plan's packed panel replaces the one matmul packs per call —
+    // The plan's level panel replaces the one forward packs per call —
     // same kernel, same bits, no allocation.
-    layer.packed.matmul_into(xq, y);
-    // Read-out noise and TIA re-scaling, in the same draw order as matmul
-    // (per sample, then per row).
-    for (std::size_t b = 0; b < batch; ++b) {
-      auto yr = y.row(b);
-      for (double& v : yr) {
-        if (config_.readout_noise > 0.0) {
-          v += rng_.normal(0.0, config_.readout_noise);
-        }
-        v *= scale[b];
-      }
-    }
+    layer.panel.matmul_into(xq, y);
+    read_out(y, scale.data());
     // Hidden-layer activation as its own whole-buffer pass, mirroring
     // forward_batch: the branch-free loop vectorizes, where folding the
     // activation into the noise/re-scale loop above measurably does not.
@@ -325,12 +315,12 @@ bool PhotonicBackend::run_plan(const nn::ExecutionPlan& plan,
   return true;
 }
 
-nn::Matrix PhotonicBackend::matmul_transposed(const nn::Matrix& w,
-                                              const nn::Matrix& x) {
-  TRIDENT_REQUIRE(x.cols() == w.rows(), "transposed matmul dimension mismatch");
+nn::Matrix PhotonicBackend::transposed(const nn::Matrix& w,
+                                       const nn::Matrix& x) {
   const std::size_t batch = x.rows();
-  // Loop-equivalent accounting: every gradient symbol pair re-encodes the
-  // bank with Wᵀ, exactly as a sequence of matvec_transposed calls would.
+  // Every gradient symbol pair re-encodes the bank with Wᵀ (Table II): one
+  // programming event per sample even though the values are the same cells
+  // transposed, and the forward layout is gone after.
   ledger_.weight_writes += batch * w.size();
   ledger_.program_events += batch;
   if (telemetry::enabled()) {
@@ -343,28 +333,25 @@ nn::Matrix PhotonicBackend::matmul_transposed(const nn::Matrix& w,
   nn::dac_quantize(x.data().data(), batch, w.rows(), input_quantizer_,
                    scale.data(), xq.data().data());
 
-  nn::Matrix clamped = w;
-  for (double& v : clamped.data()) {
-    v = std::clamp(v, -1.0, 1.0);
-  }
+  nn::Matrix y = snap(w).matmul_transposed(xq);
+  read_out(y, scale.data());
 
-  nn::Matrix y = clamped.matmul_transposed(xq);
-  for (std::size_t b = 0; b < batch; ++b) {
-    auto yr = y.row(b);
-    for (double& v : yr) {
-      if (config_.readout_noise > 0.0) {
-        v += rng_.normal(0.0, config_.readout_noise);
-      }
-      v *= scale[b];
-    }
-  }
-
+  // Signed gradients stream as two polarity symbols.
   ledger_.symbols += 2 * batch;
   ledger_.macs += batch * w.size();
   if (telemetry::enabled()) {
     note_ledger(0, 0, 2 * batch, batch * w.size(), 0);
-    metrics().matmul_transposed_calls.add(1);
     metrics().quantize_passes.add(1);
+  }
+  return y;
+}
+
+nn::Matrix PhotonicBackend::matmul_transposed(const nn::Matrix& w,
+                                              const nn::Matrix& x) {
+  TRIDENT_REQUIRE(x.cols() == w.rows(), "transposed matmul dimension mismatch");
+  nn::Matrix y = transposed(w, x);
+  if (telemetry::enabled()) {
+    metrics().matmul_transposed_calls.add(1);
   }
   return y;
 }
@@ -372,44 +359,13 @@ nn::Matrix PhotonicBackend::matmul_transposed(const nn::Matrix& w,
 nn::Vector PhotonicBackend::matvec_transposed(const nn::Matrix& w,
                                               const nn::Vector& x) {
   TRIDENT_REQUIRE(x.size() == w.rows(), "transposed matvec dimension mismatch");
-  // The gradient-vector pass re-encodes the bank with Wᵀ (Table II): one
-  // programming event even though the values are the same cells transposed.
-  ledger_.weight_writes += w.size();
-  ledger_.program_events += 1;
+  nn::Matrix xm(1, x.size());
+  std::copy(x.begin(), x.end(), xm.data().begin());
+  nn::Matrix y = transposed(w, xm);
   if (telemetry::enabled()) {
-    note_ledger(w.size(), 1, 0, 0, 0);
-  }
-  resident_matrix_ = nullptr;  // bank no longer holds the forward layout
-
-  double x_scale = 1.0;
-  nn::Vector xq(x.size());
-  nn::dac_quantize(x.data(), 1, x.size(), input_quantizer_, &x_scale,
-                   xq.data());
-
-  nn::Vector y(w.cols(), 0.0);
-  for (std::size_t r = 0; r < w.rows(); ++r) {
-    const auto row = w.row(r);
-    const double xr = xq[r];
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      y[c] += std::clamp(row[c], -1.0, 1.0) * xr;
-    }
-  }
-  for (double& v : y) {
-    if (config_.readout_noise > 0.0) {
-      v += rng_.normal(0.0, config_.readout_noise);
-    }
-    v *= x_scale;
-  }
-
-  // Signed gradients stream as two polarity symbols.
-  ledger_.symbols += 2;
-  ledger_.macs += w.size();
-  if (telemetry::enabled()) {
-    note_ledger(0, 0, 2, w.size(), 0);
     metrics().matvec_transposed_calls.add(1);
-    metrics().quantize_passes.add(1);
   }
-  return y;
+  return std::move(y.data());
 }
 
 void PhotonicBackend::rank1_update(nn::Matrix& w, const nn::Vector& dh,

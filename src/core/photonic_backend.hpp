@@ -3,15 +3,16 @@
 // Implements nn::MatvecBackend with the behavioural constraints of the
 // Trident hardware, without paying device-model cost per ring:
 //
-//   * weights live in GST cells → stored values are quantized to the
-//     configured bit resolution (8 for GST, 6 for the thermal ablation);
-//     SGD updates smaller than half an LSB are lost to rounding, which is
-//     exactly why the paper says 6-bit hardware cannot train [34];
-//   * inputs pass through the modulator DAC → input quantization;
-//   * the analog accumulation can carry additive read-out noise;
-//   * per-layer scaling mirrors hardware practice: the weight matrix is
-//     normalised by its max |w| before programming and the scale is
+//   * weights live in GST cells → the bank holds level(w), the weight's
+//     level on the configured grid (8 bits for GST, 6 for the thermal
+//     ablation), and every pass multiplies by level · step; a weight
+//     outside [-1, 1] saturates at the extreme level.  SGD updates smaller
+//     than half an LSB are lost to rounding, which is exactly why the paper
+//     says 6-bit hardware cannot train [34];
+//   * inputs pass through the modulator DAC → input quantization: each
+//     sample is scaled by max(1, max |x|) into range and the scale is
 //     re-applied electronically after detection;
+//   * the analog accumulation can carry additive read-out noise;
 //   * non-volatility: programming is charged only when the bank contents
 //     actually change (weight reuse between calls is free — the 0.67 W →
 //     0.11 W effect), and each programming event costs one parallel
@@ -25,6 +26,7 @@
 #include "common/quantize.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "nn/matrix.hpp"
 #include "nn/mlp.hpp"
 
 namespace trident::core {
@@ -91,9 +93,10 @@ class PhotonicBackend final : public nn::MatvecBackend {
                     const nn::Vector& y_prev, double lr) override;
 
   /// Batched forward: quantizes the whole input block in one pass, charges
-  /// the ledger once per block, packs the saturated weights into an
-  /// nn::PackedPanel and runs its kernel.  Outputs, noise draws, and ledger
-  /// counters are bit-identical to a loop of per-sample matvec calls.
+  /// the ledger once per block, packs level(w) into the backend's
+  /// nn::PackedPanel and runs its kernel.  matvec is the same forward on a
+  /// block of one, so outputs, noise draws, and ledger counters are
+  /// bit-identical to a loop of per-sample matvec calls.
   [[nodiscard]] nn::Matrix matmul(const nn::Matrix& w,
                                   const nn::Matrix& x) override;
   /// Batched gradient-vector pass, loop-equivalent to matvec_transposed per
@@ -105,13 +108,15 @@ class PhotonicBackend final : public nn::MatvecBackend {
   // GST programming quantizes after every sample, so the batched result is
   // defined BY the per-sample order.
 
-  /// Fused plan execution: per layer, programs the plan's own weight panel,
+  /// Fused plan execution: per layer, programs the plan's own weights,
   /// quantizes the block into the arena, multiplies through the plan's
-  /// packed panel (the kernel matmul runs), then applies noise/re-scale and
+  /// level panel (the kernel matmul runs), then applies noise/re-scale and
   /// the activation epilogue in place.  Outputs, RNG draws, and ledger
   /// counters are bit-identical to Mlp::forward_batch through matmul; the
   /// per-call packing is the only work removed.  Zero steady-state heap
-  /// allocation.
+  /// allocation.  Declines (returns false) a plan whose panels are on
+  /// another grid than this backend's weights; Plan::run then interprets it
+  /// per-op.
   bool run_plan(const nn::ExecutionPlan& plan, const nn::Matrix& x,
                 nn::PlanArena& arena) override;
 
@@ -150,6 +155,16 @@ class PhotonicBackend final : public nn::MatvecBackend {
   /// Stochastically rounds a value onto the stored-weight grid (one RNG
   /// draw).
   [[nodiscard]] double stochastic_level(double v);
+  /// The per-op forward behind matvec (a block of one) and matmul.
+  [[nodiscard]] nn::Matrix forward(const nn::Matrix& w, const nn::Matrix& x);
+  /// The per-op gradient pass behind matvec_transposed and
+  /// matmul_transposed.
+  [[nodiscard]] nn::Matrix transposed(const nn::Matrix& w,
+                                      const nn::Matrix& x);
+  /// level(w) · step on the weight grid, as doubles in snapped_.
+  [[nodiscard]] const nn::Matrix& snap(const nn::Matrix& w);
+  /// Read-out noise and the TIA re-scale of each sample b by scale[b].
+  void read_out(nn::Matrix& y, const double* scale);
 
   PhotonicBackendConfig config_;
   SymmetricQuantizer weight_quantizer_;
@@ -157,6 +172,9 @@ class PhotonicBackend final : public nn::MatvecBackend {
   Rng rng_;
   PhotonicLedger ledger_;
   const void* resident_matrix_ = nullptr;
+  // Per-op scratch that only grows; a backend is driven from one thread.
+  nn::PackedPanel panel_;  ///< level(w) for the forward (grids ≤ 8 bits)
+  nn::Matrix snapped_;     ///< level(w) · step: gradient passes, wide grids
 };
 
 }  // namespace trident::core

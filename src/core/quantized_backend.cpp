@@ -19,14 +19,6 @@ QuantizedBackend::QuantizedBackend(const QuantizedBackendConfig& config)
                   "quantized tier input grid must fit int8");
 }
 
-const std::int8_t* QuantizedBackend::quantize_weights(const nn::Matrix& w) {
-  levels_.resize(w.size());  // capacity never shrinks: calls reuse storage
-  // to_level saturates outside [-1, 1], which doubles as the clamp the
-  // photonic path applies to externally-set out-of-range weights.
-  weight_quantizer_.to_levels(w.data(), levels_);
-  return levels_.data();
-}
-
 void QuantizedBackend::ensure_programmed(const nn::Matrix& w) {
   if (resident_matrix_ == static_cast<const void*>(&w)) {
     return;  // non-volatile weights are still loaded — free reuse
@@ -42,7 +34,9 @@ void QuantizedBackend::ensure_programmed(const nn::Matrix& w) {
 
 nn::Matrix QuantizedBackend::matmul(const nn::Matrix& w, const nn::Matrix& x) {
   TRIDENT_REQUIRE(x.cols() == w.cols(), "matmul dimension mismatch");
-  const std::int8_t* levels = quantize_weights(w);
+  // The level panel a compiled plan holds, packed per call into storage
+  // that only grows; to_level saturates outside [-1, 1].
+  panel_.pack(w, weight_quantizer_);
   ensure_programmed(w);
   const std::size_t batch = x.rows();
   const std::size_t rows = w.rows();
@@ -55,7 +49,7 @@ nn::Matrix QuantizedBackend::matmul(const nn::Matrix& w, const nn::Matrix& x) {
                    scale.data(), xq.data());
 
   std::vector<std::int32_t> acc(batch * rows);
-  nn::int8_gemm(levels, rows, cols, xq.data(), batch, acc.data());
+  nn::int8_gemm(panel_, xq.data(), batch, acc.data());
 
   // TIA re-scale: one multiply per output.  The int32 accumulation is exact,
   // so row b is bit-identical whether it ran alone or inside this block.
@@ -104,8 +98,7 @@ bool QuantizedBackend::run_plan(const nn::ExecutionPlan& plan,
                      scale.data(), xq.data());
 
     // The plan's immutable panel: quantized once at compile, never here.
-    nn::int8_gemm(layer.levels.data(), rows, cols, xq.data(), batch,
-                  acc.data());
+    nn::int8_gemm(layer.panel, xq.data(), batch, acc.data());
 
     // Fused epilogue: the TIA re-scale and the activation land in one pass
     // over the output block.  Routing the rescaled value through a register
@@ -160,7 +153,8 @@ nn::Vector QuantizedBackend::matvec(const nn::Matrix& w, const nn::Vector& x) {
 nn::Matrix QuantizedBackend::matmul_transposed(const nn::Matrix& w,
                                                const nn::Matrix& x) {
   TRIDENT_REQUIRE(x.cols() == w.rows(), "transposed matmul dimension mismatch");
-  const std::int8_t* levels = quantize_weights(w);
+  levels_.resize(w.size());  // the capacity only grows
+  nn::to_levels(w.data().data(), w.size(), weight_quantizer_, levels_.data());
   const std::size_t batch = x.rows();
   const std::size_t rows = w.rows();
   const std::size_t cols = w.cols();
@@ -181,7 +175,8 @@ nn::Matrix QuantizedBackend::matmul_transposed(const nn::Matrix& w,
                    scale.data(), xq.data());
 
   std::vector<std::int32_t> acc(batch * cols);
-  nn::int8_gemm_transposed(levels, rows, cols, xq.data(), batch, acc.data());
+  nn::int8_gemm_transposed(levels_.data(), rows, cols, xq.data(), batch,
+                           acc.data());
 
   const double unit = weight_quantizer_.step() * input_quantizer_.step();
   nn::Matrix y(batch, cols);

@@ -11,10 +11,10 @@
 // events, symbol counts — so energy books and the chaos conservation
 // invariants keep holding.
 //
-// Serving runs one forward: run_plan streams the int8 level panels a
-// compiled nn::ExecutionPlan holds.  The per-op matmul entry points
-// (training, tests, reference runs) quantize the weights on every call,
-// the way PhotonicBackend::matmul packs its panel on every call, so an
+// Serving runs one forward: run_plan streams the level panels a compiled
+// nn::ExecutionPlan holds — the same panels the photonic tier decodes.
+// The per-op matmul entry points (training, tests, reference runs) pack
+// the weights on every call, as PhotonicBackend::matmul does, so an
 // in-place weight change is always seen.
 //
 // Error-bound contract: per layer, every output differs from the
@@ -63,8 +63,8 @@ class QuantizedBackend final : public nn::MatvecBackend {
   [[nodiscard]] nn::Matrix matmul_transposed(const nn::Matrix& w,
                                              const nn::Matrix& x) override;
 
-  /// Fused plan execution: streams the plan's pre-packed int8 panels
-  /// through int8_gemm with arena-resident scratch and zero steady-state
+  /// Fused plan execution: streams the plan's level panels through
+  /// int8_gemm with arena-resident scratch and zero steady-state
   /// heap allocation.  Only taken when the plan's weight grid matches this
   /// backend's (otherwise the per-op interpreter runs, which quantizes at
   /// the right grid in matmul); outputs and ledger counters are
@@ -102,16 +102,15 @@ class QuantizedBackend final : public nn::MatvecBackend {
   }
 
  private:
-  /// Quantizes `w` onto the weight grid into levels_ (grow-only: calls
-  /// reuse its storage) and returns the row-major panel.
-  [[nodiscard]] const std::int8_t* quantize_weights(const nn::Matrix& w);
   void ensure_programmed(const nn::Matrix& w);
 
   QuantizedBackendConfig config_;
   SymmetricQuantizer weight_quantizer_;
   SymmetricQuantizer input_quantizer_;
   PhotonicLedger ledger_;
-  std::vector<std::int8_t> levels_;  ///< per-call weight panel (row-major)
+  // Per-call weight levels; their storage only grows.
+  nn::PackedPanel panel_;            ///< matmul's level panel
+  std::vector<std::int8_t> levels_;  ///< matmul_transposed's, row-major
   const void* resident_matrix_ = nullptr;
 };
 

@@ -65,16 +65,19 @@ constexpr std::size_t kColBlock = 256;
       1, kTargetOps / std::max<std::size_t>(1, ops_per_index));
 }
 
+/// Row r's level in column c of the panel is w.row(r)[c · kStride].
+constexpr std::size_t kStride = PackedPanel::kGroupRows;
+
 /// Computes output rows [b0, b0+MB) of y = x·Wᵀ.  The panel pre-widens the
 /// int8 sample levels to int32 once per column block, so the inner loop is
 /// a stride-1 broadcast-multiply-add over MB independent int32 chains.
 template <std::size_t MB>
-[[gnu::always_inline]] inline void int8_panel(const std::int8_t* w,
-                                              std::size_t rows,
-                                              std::size_t cols,
+[[gnu::always_inline]] inline void int8_panel(const PackedPanel& w,
                                               const std::int8_t* x,
                                               std::int32_t* y,
                                               std::size_t b0) {
+  const std::size_t rows = w.rows();
+  const std::size_t cols = w.cols();
 #ifdef TRIDENT_HAVE_INT_VECTOR_EXT
   static_assert(MB % 16 == 0);
   constexpr std::size_t kNV = MB / 16;
@@ -89,7 +92,7 @@ template <std::size_t MB>
       }
     }
     for (std::size_t r = 0; r < rows; ++r) {
-      const std::int8_t* wr = w + r * cols + c0;
+      const std::int8_t* wr = w.row(r) + c0 * kStride;
       alignas(64) std::int32_t lanes[MB];
       for (std::size_t m = 0; m < MB; ++m) {
         lanes[m] = y[(b0 + m) * rows + r];
@@ -97,7 +100,7 @@ template <std::size_t MB>
       v16si acc[kNV];
       __builtin_memcpy(acc, lanes, sizeof(lanes));
       for (std::size_t c = 0; c < kc; ++c) {
-        const std::int32_t wc = static_cast<std::int32_t>(wr[c]);
+        const std::int32_t wc = static_cast<std::int32_t>(wr[c * kStride]);
         const v16si* px = panel + c * kNV;
         for (std::size_t v = 0; v < kNV; ++v) {
           acc[v] += wc * px[v];
@@ -120,13 +123,13 @@ template <std::size_t MB>
       }
     }
     for (std::size_t r = 0; r < rows; ++r) {
-      const std::int8_t* wr = w + r * cols + c0;
+      const std::int8_t* wr = w.row(r) + c0 * kStride;
       std::int32_t acc[MB];
       for (std::size_t m = 0; m < MB; ++m) {
         acc[m] = y[(b0 + m) * rows + r];
       }
       for (std::size_t c = 0; c < kc; ++c) {
-        const std::int32_t wc = static_cast<std::int32_t>(wr[c]);
+        const std::int32_t wc = static_cast<std::int32_t>(wr[c * kStride]);
         const std::int32_t* px = panel + c * MB;
         for (std::size_t m = 0; m < MB; ++m) {
           acc[m] += wc * px[m];
@@ -141,16 +144,15 @@ template <std::size_t MB>
 }
 
 TRIDENT_INT8_KERNEL_CLONES
-void int8_block_wide(const std::int8_t* w, std::size_t rows, std::size_t cols,
-                     const std::int8_t* x, std::int32_t* y, std::size_t b0) {
-  int8_panel<kBatchBlock>(w, rows, cols, x, y, b0);
+void int8_block_wide(const PackedPanel& w, const std::int8_t* x,
+                     std::int32_t* y, std::size_t b0) {
+  int8_panel<kBatchBlock>(w, x, y, b0);
 }
 
 TRIDENT_INT8_KERNEL_CLONES
-void int8_block_small(const std::int8_t* w, std::size_t rows,
-                      std::size_t cols, const std::int8_t* x, std::int32_t* y,
-                      std::size_t b0) {
-  int8_panel<kBatchBlockSmall>(w, rows, cols, x, y, b0);
+void int8_block_small(const PackedPanel& w, const std::int8_t* x,
+                      std::int32_t* y, std::size_t b0) {
+  int8_panel<kBatchBlockSmall>(w, x, y, b0);
 }
 
 #ifdef TRIDENT_INT8_MADD
@@ -160,8 +162,10 @@ void int8_block_small(const std::int8_t* w, std::size_t rows,
 /// tier's rate.  Accumulation is exact int32, identical to every other
 /// tier by associativity.
 __attribute__((target("avx512f,avx512bw"))) void int8_block_madd(
-    const std::int8_t* w, std::size_t rows, std::size_t cols,
-    const std::int8_t* x, std::int32_t* y, std::size_t b0, std::size_t mb) {
+    const PackedPanel& w, const std::int8_t* x, std::int32_t* y,
+    std::size_t b0, std::size_t mb) {
+  const std::size_t rows = w.rows();
+  const std::size_t cols = w.cols();
   const std::size_t nv = mb / 16;  // zmm vectors per column pair
   alignas(64) std::int16_t panel[kColBlock * kBatchBlock];
   for (std::size_t c0 = 0; c0 < cols; c0 += kColBlock) {
@@ -180,15 +184,15 @@ __attribute__((target("avx512f,avx512bw"))) void int8_block_madd(
       }
     }
     for (std::size_t r = 0; r < rows; ++r) {
-      const std::int8_t* wr = w + r * cols + c0;
+      const std::int8_t* wr = w.row(r) + c0 * kStride;
       __m512i acc[2] = {_mm512_setzero_si512(), _mm512_setzero_si512()};
       for (std::size_t p = 0; p < pairs; ++p) {
         const std::size_t c = 2 * p;
-        const auto w0 = static_cast<std::uint32_t>(
-            static_cast<std::uint16_t>(static_cast<std::int16_t>(wr[c])));
+        const auto w0 = static_cast<std::uint32_t>(static_cast<std::uint16_t>(
+            static_cast<std::int16_t>(wr[c * kStride])));
         const std::uint32_t w1 =
             c + 1 < kc ? static_cast<std::uint32_t>(static_cast<std::uint16_t>(
-                             static_cast<std::int16_t>(wr[c + 1])))
+                             static_cast<std::int16_t>(wr[(c + 1) * kStride])))
                        : 0u;
         const __m512i wv =
             _mm512_set1_epi32(static_cast<int>(w0 | (w1 << 16)));
@@ -214,6 +218,33 @@ __attribute__((target("avx512f,avx512bw"))) void int8_block_madd(
   return supported;
 }
 #endif
+
+/// Samples [b0, b0+n) one at a time, a row group at a time: a group's
+/// levels of one column are kStride contiguous bytes, so its rows' exact
+/// int32 chains run side by side in one vector.
+TRIDENT_INT8_KERNEL_CLONES
+void int8_samples(const PackedPanel& w, const std::int8_t* x, std::int32_t* y,
+                  std::size_t b0, std::size_t n) {
+  const std::size_t rows = w.rows();
+  const std::size_t cols = w.cols();
+  for (std::size_t b = b0; b < b0 + n; ++b) {
+    const std::int8_t* xr = x + b * cols;
+    std::int32_t* yr = y + b * rows;
+    for (std::size_t r0 = 0; r0 < rows; r0 += kStride) {
+      const std::int8_t* group = w.row(r0);
+      std::int32_t acc[kStride] = {};
+      for (std::size_t c = 0; c < cols; ++c) {
+        const auto xc = static_cast<std::int32_t>(xr[c]);
+        for (std::size_t i = 0; i < kStride; ++i) {
+          acc[i] += static_cast<std::int32_t>(group[c * kStride + i]) * xc;
+        }
+      }
+      for (std::size_t i = 0; i < kStride && r0 + i < rows; ++i) {
+        yr[r0 + i] = acc[i];
+      }
+    }
+  }
+}
 
 /// Transposed block: each sample owns its output row (no cross-column
 /// chain), so the column loop auto-vectorises at full width per clone.
@@ -288,8 +319,10 @@ const char* int8_kernel_isa() {
   return "baseline";
 }
 
-void int8_gemm(const std::int8_t* w, std::size_t rows, std::size_t cols,
-               const std::int8_t* x, std::size_t batch, std::int32_t* y) {
+void int8_gemm(const PackedPanel& w, const std::int8_t* x, std::size_t batch,
+               std::int32_t* y) {
+  const std::size_t rows = w.rows();
+  const std::size_t cols = w.cols();
   TRIDENT_REQUIRE(cols <= kInt8GemmMaxCols,
                   "int8_gemm fan-in exceeds int32 overflow headroom");
   const bool telem = telemetry::enabled();
@@ -307,11 +340,11 @@ void int8_gemm(const std::int8_t* w, std::size_t rows, std::size_t cols,
       [&](std::size_t blk) {
 #ifdef TRIDENT_INT8_MADD
         if (madd) {
-          int8_block_madd(w, rows, cols, x, y, blk * kBatchBlock, kBatchBlock);
+          int8_block_madd(w, x, y, blk * kBatchBlock, kBatchBlock);
           return;
         }
 #endif
-        int8_block_wide(w, rows, cols, x, y, blk * kBatchBlock);
+        int8_block_wide(w, x, y, blk * kBatchBlock);
       },
       grain_for(rows * cols * kBatchBlock));
 
@@ -319,12 +352,12 @@ void int8_gemm(const std::int8_t* w, std::size_t rows, std::size_t cols,
   if (batch - b >= kBatchBlockSmall) {
 #ifdef TRIDENT_INT8_MADD
     if (madd) {
-      int8_block_madd(w, rows, cols, x, y, b, kBatchBlockSmall);
+      int8_block_madd(w, x, y, b, kBatchBlockSmall);
     } else {
-      int8_block_small(w, rows, cols, x, y, b);
+      int8_block_small(w, x, y, b);
     }
 #else
-    int8_block_small(w, rows, cols, x, y, b);
+    int8_block_small(w, x, y, b);
 #endif
     b += kBatchBlockSmall;
   }
@@ -352,25 +385,15 @@ void int8_gemm(const std::int8_t* w, std::size_t rows, std::size_t cols,
     std::fill(yp.begin(),
               yp.begin() + static_cast<std::ptrdiff_t>(kBatchBlockSmall * rows),
               0);
-    int8_block_madd(w, rows, cols, xp.data(), yp.data(), 0, kBatchBlockSmall);
+    int8_block_madd(w, xp.data(), yp.data(), 0, kBatchBlockSmall);
     std::copy(yp.begin(),
               yp.begin() + static_cast<std::ptrdiff_t>(tail * rows),
               y + b * rows);
     b = batch;
   }
 #endif
-  for (; b < batch; ++b) {
-    const std::int8_t* xr = x + b * cols;
-    std::int32_t* yr = y + b * rows;
-    for (std::size_t r = 0; r < rows; ++r) {
-      const std::int8_t* wr = w + r * cols;
-      std::int32_t acc = 0;
-      for (std::size_t c = 0; c < cols; ++c) {
-        acc += static_cast<std::int32_t>(wr[c]) *
-               static_cast<std::int32_t>(xr[c]);
-      }
-      yr[r] = acc;
-    }
+  if (b < batch) {
+    int8_samples(w, x, y, b, batch - b);
   }
   if (telem) {
     Int8GemmMetrics& m = int8_metrics();

@@ -21,17 +21,21 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "nn/matrix.hpp"
+
 namespace trident::nn {
 
-/// y[b·rows + r] = Σ_c w[r·cols + c] · x[b·cols + c], int32 accumulation.
-/// `w` is a row-major (rows × cols) level panel, `x` a row-major
-/// (batch × cols) level block, `y` a row-major (batch × rows) output.
-/// Requires cols ≤ kInt8GemmMaxCols (int32 overflow headroom).
-void int8_gemm(const std::int8_t* w, std::size_t rows, std::size_t cols,
-               const std::int8_t* x, std::size_t batch, std::int32_t* y);
+/// y[b·rows + r] = Σ_c L(r, c) · x[b·cols + c], int32 accumulation, where
+/// L is the level panel `w` (the 8-row-group layout the photonic tier
+/// streams too), `x` a row-major (batch × w.cols()) level block and `y` a
+/// row-major (batch × w.rows()) output.  Requires w.cols() ≤
+/// kInt8GemmMaxCols (int32 overflow headroom).
+void int8_gemm(const PackedPanel& w, const std::int8_t* x, std::size_t batch,
+               std::int32_t* y);
 
-/// Transposed variant: y[b·cols + c] = Σ_r w[r·cols + c] · x[b·rows + r]
-/// (`x` is batch × rows, `y` is batch × cols).  Requires rows ≤
+/// Transposed variant over a row-major (rows × cols) level matrix `w`, as
+/// nn::to_levels writes it: y[b·cols + c] = Σ_r w[r·cols + c] · x[b·rows +
+/// r] (`x` is batch × rows, `y` is batch × cols).  Requires rows ≤
 /// kInt8GemmMaxCols — the fan-in runs over rows here.
 void int8_gemm_transposed(const std::int8_t* w, std::size_t rows,
                           std::size_t cols, const std::int8_t* x,

@@ -196,14 +196,25 @@ struct MatmulPanel {
   }
 };
 
+/// int32 and int8 vectors with V's lane count.  (GCC drops a vector_size
+/// attribute on a dependent alias template, but keeps it on a member
+/// typedef.)
+template <class V>
+struct LaneInts {
+  typedef std::int32_t i32 __attribute__((vector_size(sizeof(V) / 2)));
+  typedef std::int8_t i8 __attribute__((vector_size(sizeof(V) / 8)));
+  typedef std::uint64_t u64 __attribute__((vector_size(sizeof(V))));
+};
+
 // --- packed-panel kernel ----------------------------------------------------
 //
 // A tile is RP row groups (8 rows each) × NB samples: RP·(8/lanes)·NB
 // vector accumulators, each lane one (row, sample) chain.  Per column the
-// tile loads RP packed blocks and broadcasts NB input values, so every
-// weight byte fetched feeds NB chains and every input value feeds 8·RP.
-// On AVX-512 that is 3 groups × 8 samples for full blocks, and up to 8
-// groups for the narrow remainders serving batches mostly are.
+// tile loads RP blocks of 8 levels, decodes each to level · step —
+// from_level's expression, so the value the bank holds — and broadcasts NB
+// input values: every weight decoded feeds NB chains and every input value
+// feeds 8·RP.  On AVX-512 that is 3 groups × 8 samples for full blocks,
+// and up to 8 groups for the narrow remainders serving batches mostly are.
 
 /// Row groups per tile for NB samples on a tier with `regs` vector
 /// registers: the most (up to 8) whose accumulators, RP·vg weight vectors
@@ -222,7 +233,8 @@ constexpr std::size_t tile_groups(std::size_t vg, std::size_t regs,
   return best;
 }
 
-/// Widest sample tile a tier supports (8 on AVX-512, 6 on AVX2, 2 on SSE2).
+/// Widest sample tile a tier supports below a full block (8 on AVX-512, 6
+/// on AVX2, 2 on SSE2).
 constexpr std::size_t max_tile_samples(std::size_t vg, std::size_t regs) {
   std::size_t best = 1;
   for (std::size_t nb = 1; nb <= 8; ++nb) {
@@ -233,19 +245,44 @@ constexpr std::size_t max_tile_samples(std::size_t vg, std::size_t regs) {
   return best;
 }
 
-/// Rows per group, and so doubles per packed block (one column of a group).
-constexpr std::size_t kGroupRows = 8;
+constexpr std::size_t kGroupRows = PackedPanel::kGroupRows;
 
-/// `p` advanced to the next 64-byte boundary (p is at least 8-aligned).
-template <class T>
-[[nodiscard]] T* cache_line_start(T* p) {
-  const auto misalign = reinterpret_cast<std::uintptr_t>(p) % 64;
-  return p + (64 - misalign) % 64 / sizeof(double);
-}
+/// Decodes an 8-level block into V's lanes: level · step, bit for bit
+/// SymmetricQuantizer::from_level.  Each lane shifts its byte out of the
+/// broadcast block, lands level + 128 in the mantissa of 2⁵² (exact), and
+/// subtracts 2⁵² + 128 (exact) — GCC lowers a vector int8 → double
+/// conversion one lane at a time.
+template <class V>
+struct LevelDecoder {
+  static constexpr std::size_t kL = kLanes<V>;
+  static constexpr std::size_t kVG = kGroupRows / kL;
+  using U = typename LaneInts<V>::u64;
+  U shift[kVG] = {};  ///< vector v holds the block's bytes [v·kL, v·kL + kL)
+  V step;
+
+  explicit LevelDecoder(double grid_step) : step(V{} + grid_step) {
+    for (std::size_t v = 0; v < kVG; ++v) {
+      for (std::size_t l = 0; l < kL; ++l) {
+        shift[v][l] = 8 * (v * kL + l);
+      }
+    }
+  }
+
+  /// out ← lanes [v·kL, v·kL + kL) of `block`.  In place, as GridLanes.
+  [[gnu::always_inline]] void decode(const std::int8_t* block, std::size_t v,
+                                     V& out) const {
+    std::uint64_t bytes;
+    __builtin_memcpy(&bytes, block, sizeof(bytes));
+    const U b = (((U{} + bytes) >> shift[v]) & 0xFF) ^ 0x4330000000000080ULL;
+    __builtin_memcpy(&out, &b, sizeof(V));
+    out = (out - (0x1p52 + 128.0)) * step;
+  }
+};
 
 /// Geometry every tile of one call shares.
 struct PanelArgs {
-  const double* blocks;
+  const std::int8_t* blocks;
+  double step;
   std::size_t rows;
   std::size_t cols;
   const double* x;  ///< batch × cols, row-major
@@ -260,16 +297,15 @@ template <class V, std::size_t RP, std::size_t NB>
   constexpr std::size_t kL = kLanes<V>;
   constexpr std::size_t kVG = kGroupRows / kL;  // vectors per row group
   const std::size_t cols = a.cols;
-  const double* const panel = a.blocks + g0 * cols * kGroupRows;
+  const std::int8_t* const panel = a.blocks + g0 * cols * kGroupRows;
   const double* const x = a.x + b0 * cols;
+  const LevelDecoder<V> levels(a.step);
   V acc[RP * kVG][NB] = {};  // +0.0, the start of matvec's chain
   for (std::size_t c = 0; c < cols; ++c) {
     V w[RP * kVG];
 #pragma GCC unroll 32
     for (std::size_t i = 0; i < RP * kVG; ++i) {
-      __builtin_memcpy(&w[i],
-                       panel + (i / kVG * cols + c) * kGroupRows + i % kVG * kL,
-                       sizeof(V));
+      levels.decode(panel + (i / kVG * cols + c) * kGroupRows, i % kVG, w[i]);
     }
 #pragma GCC unroll 8
     for (std::size_t s = 0; s < NB; ++s) {
@@ -352,15 +388,6 @@ struct PackedSamples {
 // out-of-range value.  The scalar remainders call the SymmetricQuantizer
 // itself.
 
-/// int32 and int8 vectors with V's lane count.  (GCC drops a vector_size
-/// attribute on a dependent alias template, but keeps it on a member
-/// typedef.)
-template <class V>
-struct LaneInts {
-  typedef std::int32_t i32 __attribute__((vector_size(sizeof(V) / 2)));
-  typedef std::int8_t i8 __attribute__((vector_size(sizeof(V) / 8)));
-};
-
 /// Broadcasts and bounds of one level grid, in the tier's vector type.
 template <class V>
 struct GridLanes {
@@ -385,6 +412,51 @@ struct GridLanes {
     v = t + (f >= half ? one : zero) - (f <= -half ? one : zero);
   }
 };
+
+/// level(x[c] / s) for c < cols on `grid`, into out[c · Stride]: the level
+/// itself (Out = std::int8_t) or level · step (Out = double, Stride 1).
+/// s = 1 skips the division, which would return x unchanged.
+template <class V, std::size_t Stride, class Out>
+[[gnu::always_inline]] inline void quantize_row(const double* x,
+                                                std::size_t cols, double s,
+                                                const GridLanes<V>& g,
+                                                const SymmetricQuantizer& grid,
+                                                Out* out) {
+  static_assert(Stride == 1 || !std::is_same_v<Out, double>);
+  constexpr std::size_t kL = kLanes<V>;
+  std::size_t c = 0;
+  for (; c + kL <= cols; c += kL) {
+    V level;
+    __builtin_memcpy(&level, x + c, sizeof(V));
+    if (s != 1.0) {
+      level /= s;
+    }
+    g.to_level(level);
+    if constexpr (std::is_same_v<Out, double>) {
+      const V q = level * g.step;
+      __builtin_memcpy(out + c, &q, sizeof(V));
+    } else {
+      const auto q = __builtin_convertvector(
+          __builtin_convertvector(level, typename LaneInts<V>::i32),
+          typename LaneInts<V>::i8);
+      if constexpr (Stride == 1) {
+        __builtin_memcpy(out + c, &q, sizeof(q));
+      } else {
+        for (std::size_t l = 0; l < kL; ++l) {
+          out[(c + l) * Stride] = q[l];
+        }
+      }
+    }
+  }
+  for (; c < cols; ++c) {
+    const double v = s != 1.0 ? x[c] / s : x[c];
+    if constexpr (std::is_same_v<Out, double>) {
+      out[c] = grid.quantize(v);
+    } else {
+      out[c * Stride] = static_cast<std::int8_t>(grid.to_level(v));
+    }
+  }
+}
 
 /// rank1_update_levels on one tier: returns the cells whose level moved.
 struct Rank1Levels {
@@ -441,7 +513,6 @@ struct DacRows {
     const V zero = {};
     for (std::size_t b = 0; b < batch; ++b) {
       const double* xr = x + b * cols;
-      Out* qr = q + b * cols;
       // max(1, max|x|) per lane, then across lanes: max is exact and a NaN
       // never wins a comparison, so the order does not change the result.
       V m = zero + 1.0;
@@ -460,29 +531,27 @@ struct DacRows {
         s = std::max(s, std::abs(xr[c]));
       }
       scale[b] = s;
+      quantize_row<V, 1>(xr, cols, s, g, *grid, q + b * cols);
+    }
+  }
+};
 
-      for (c = 0; c + kL <= cols; c += kL) {
-        V level;
-        __builtin_memcpy(&level, xr + c, sizeof(V));
-        level /= s;
-        g.to_level(level);
-        if constexpr (std::is_same_v<Out, double>) {
-          const V out = level * g.step;
-          __builtin_memcpy(qr + c, &out, sizeof(V));
-        } else {
-          const auto out = __builtin_convertvector(
-              __builtin_convertvector(level, typename LaneInts<V>::i32),
-              typename LaneInts<V>::i8);
-          __builtin_memcpy(qr + c, &out, sizeof(out));
-        }
-      }
-      for (; c < cols; ++c) {
-        if constexpr (std::is_same_v<Out, double>) {
-          qr[c] = grid->quantize(xr[c] / s);
-        } else {
-          qr[c] = static_cast<std::int8_t>(grid->to_level(xr[c] / s));
-        }
-      }
+/// Unscaled levels of a row-major (rows × cols) block on one tier: row-major
+/// (Stride 1), or into PackedPanel's groups (Stride 8: row r's levels land
+/// in its group's blocks, one byte per column).
+template <std::size_t Stride>
+struct LevelRows {
+  template <class V, std::size_t R, class Out>
+  [[gnu::always_inline]] static void run(const double* x, std::size_t rows,
+                                         std::size_t cols,
+                                         const SymmetricQuantizer* grid,
+                                         Out* out) {
+    const GridLanes<V> g(*grid);
+    for (std::size_t r = 0; r < rows; ++r) {
+      Out* const o = Stride == 1 ? out + r * cols
+                                 : out + r / kGroupRows * cols * kGroupRows +
+                                       r % kGroupRows;
+      quantize_row<V, Stride>(x + r * cols, cols, 1.0, g, *grid, o);
     }
   }
 };
@@ -673,23 +742,24 @@ void Matrix::matmul_into(const Matrix& x, Matrix& y) const {
   }
 }
 
-PackedPanel::PackedPanel(const Matrix& w)
-    : rows_(w.rows()),
-      cols_(w.cols()),
-      data_((rows_ + kGroupRows - 1) / kGroupRows * cols_ * kGroupRows +
-            kGroupRows - 1) {
-  double* const blocks = cache_line_start(data_.data());
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const auto row = w.row(r);
-    double* group = blocks + r / kGroupRows * cols_ * kGroupRows;
-    for (std::size_t c = 0; c < cols_; ++c) {
-      group[c * kGroupRows + r % kGroupRows] = std::clamp(row[c], -1.0, 1.0);
-    }
-  }
+PackedPanel::PackedPanel(const Matrix& w, const SymmetricQuantizer& grid) {
+  pack(w, grid);
 }
 
-const double* PackedPanel::blocks() const {
-  return cache_line_start(data_.data());
+void PackedPanel::pack(const Matrix& w, const SymmetricQuantizer& grid) {
+  TRIDENT_REQUIRE(grid.bits() <= 8, "int8 levels require bits <= 8");
+  rows_ = w.rows();
+  cols_ = w.cols();
+  step_ = grid.step();
+  const std::size_t groups = (rows_ + kGroupRows - 1) / kGroupRows;
+  levels_.resize(groups * cols_ * kGroupRows);  // the capacity only grows
+  if (rows_ % kGroupRows != 0) {
+    // Level 0 in the padding rows of the partial last group.
+    std::fill(levels_.end() - static_cast<std::ptrdiff_t>(cols_ * kGroupRows),
+              levels_.end(), std::int8_t{0});
+  }
+  run_on_tier<LevelRows<kGroupRows>>(w.data().data(), rows_, cols_, &grid,
+                                     levels_.data());
 }
 
 void PackedPanel::matmul_into(const Matrix& x, Matrix& y) const {
@@ -701,7 +771,7 @@ void PackedPanel::matmul_into(const Matrix& x, Matrix& y) const {
   if (telem) {
     t0 = std::chrono::steady_clock::now();
   }
-  const PanelArgs args{blocks(), rows_, cols_, x.data().data(),
+  const PanelArgs args{levels_.data(), step_, rows_, cols_, x.data().data(),
                        y.data().data()};
   const std::size_t groups = (rows_ + kGroupRows - 1) / kGroupRows;
   const std::size_t batch = x.rows();
@@ -845,6 +915,17 @@ std::uint64_t rank1_update_levels(Matrix& w, const Vector& dh,
                   "rank-1 update dimension mismatch");
   return run_on_tier<Rank1Levels>(w.data().data(), w.rows(), w.cols(),
                                   dh.data(), y.data(), lr, &grid);
+}
+
+void to_levels(const double* x, std::size_t n, const SymmetricQuantizer& grid,
+               std::int8_t* levels) {
+  TRIDENT_REQUIRE(grid.bits() <= 8, "int8 levels require bits <= 8");
+  run_on_tier<LevelRows<1>>(x, std::size_t{1}, n, &grid, levels);
+}
+
+void snap_to_grid(const double* x, std::size_t n,
+                  const SymmetricQuantizer& grid, double* q) {
+  run_on_tier<LevelRows<1>>(x, std::size_t{1}, n, &grid, q);
 }
 
 void dac_quantize(const double* x, std::size_t batch, std::size_t cols,

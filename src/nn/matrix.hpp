@@ -116,41 +116,59 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// The photonic tier's weight panel: a matrix saturated to [-1, 1] (the
-/// range a GST cell holds) and packed once for streaming, the software
-/// analogue of weights that stay in the bank while inputs stream past.
-/// Rows are interleaved in groups of 8 across the columns: block
-/// (g, c) holds column c of rows 8g..8g+7 in one 64-byte line, and a final
-/// partial group is padded with zero rows.  Immutable after construction.
+/// The weight bank's contents, packed for streaming: the GST level of
+/// every weight on a grid of at most 8 bits, one byte per cell — the
+/// software analogue of weights that stay in the bank while inputs stream
+/// past.  Rows are interleaved in groups of 8 across the columns: block
+/// (g, c) holds the levels of column c of rows 8g..8g+7 in 8 bytes, and a
+/// final partial group is padded with level 0.  Both tiers stream the same
+/// panel: matmul_into decodes level · step (SymmetricQuantizer::from_level)
+/// in registers for the photonic tier, and int8_gemm (nn/int8_gemm.hpp)
+/// multiplies the levels exactly for the quantized tier.
 class PackedPanel {
  public:
   PackedPanel() = default;
-  /// Packs `w` with every element clamped to [-1, 1].
-  explicit PackedPanel(const Matrix& w);
+  /// Packs level(w) on `grid` (bits ≤ 8); weights outside ±grid.range()
+  /// saturate and NaN lands on level 0, as SymmetricQuantizer::to_level.
+  PackedPanel(const Matrix& w, const SymmetricQuantizer& grid);
+
+  /// Re-packs in place.  The storage only grows, so a per-call panel that
+  /// is re-packed within its high-water size never allocates.
+  void pack(const Matrix& w, const SymmetricQuantizer& grid);
+
+  /// Rows per group, and so levels per block.
+  static constexpr std::size_t kGroupRows = 8;
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }
+  /// The grid's step: level l decodes to l · step().
+  [[nodiscard]] double step() const { return step_; }
+  /// Block (g, c) starts at levels()[(g · cols() + c) · kGroupRows].
+  [[nodiscard]] const std::int8_t* levels() const { return levels_.data(); }
+  /// Row r's level in column c is row(r)[c · kGroupRows].
+  [[nodiscard]] const std::int8_t* row(std::size_t r) const {
+    return levels_.data() + r / kGroupRows * cols_ * kGroupRows +
+           r % kGroupRows;
+  }
 
-  /// Y = X·Sᵀ, S the saturated weights: x is (batch × cols), y must be
-  /// (x.rows() × rows()).  Row b is bit-identical to S.matvec(x.row(b)) on
-  /// every ISA tier: each (row, sample) output is one chain accumulated in
-  /// strict column order with a separate multiply and add.
+  /// Y = X·Qᵀ, Q = level · step the decoded weights: x is (batch × cols),
+  /// y must be (x.rows() × rows()).  Row b is bit-identical to
+  /// Q.matvec(x.row(b)) on every ISA tier: each (row, sample) output is one
+  /// chain accumulated in strict column order with a separate multiply and
+  /// add.
   void matmul_into(const Matrix& x, Matrix& y) const;
 
  private:
-  /// The first block, on a 64-byte boundary inside data_.
-  [[nodiscard]] const double* blocks() const;
-
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
-  /// Blocks of 8 doubles, group-major then column, after up to 7 doubles
-  /// of slack that put the first block on a cache line.
-  std::vector<double> data_;
+  double step_ = 0.0;
+  /// Blocks of 8 levels, group-major then column.
+  std::vector<std::int8_t> levels_;
 };
 
 // --- quantization kernels ---------------------------------------------------
 //
-// Both run on the GEMMs' ISA tiers and round with round_half_away
+// All run on the GEMMs' ISA tiers and round with round_half_away
 // (common/quantize.hpp) lane by lane, so every result is bit-identical to
 // SymmetricQuantizer's scalar rounding of the same element, including
 // NaN → level 0 and ±Inf saturating.
@@ -162,6 +180,16 @@ class PackedPanel {
 [[nodiscard]] std::uint64_t rank1_update_levels(Matrix& w, const Vector& dh,
                                                 const Vector& y, double lr,
                                                 const SymmetricQuantizer& grid);
+
+/// level(x[i]) on `grid` (at most 8 bits) for n elements, as int8 level
+/// indices.
+void to_levels(const double* x, std::size_t n, const SymmetricQuantizer& grid,
+               std::int8_t* levels);
+
+/// q[i] = level(x[i]) · step on `grid` (any width): the value a cell
+/// programmed with x[i] holds, SymmetricQuantizer::quantize per element.
+void snap_to_grid(const double* x, std::size_t n,
+                  const SymmetricQuantizer& grid, double* q);
 
 /// The modulator DAC over a row-major (batch × cols) block: scale[b] =
 /// max(1, max|x_b|) (a NaN element never wins), then q = level(x / scale[b])

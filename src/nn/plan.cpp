@@ -84,13 +84,8 @@ ExecutionPlan::ExecutionPlan(const Mlp& model, const PlanConfig& config)
     layer.cols = layer.weights.cols();
     layer.activation =
         (k == depth - 1) ? Activation::kIdentity : model.hidden_activation();
-    // Photonic panel: the saturated packing legacy matmul makes per call,
-    // done once here.
-    layer.packed = PackedPanel(layer.weights);
-    // Quantized panel: the levels QuantizedBackend::matmul quantizes per
-    // call (to_level saturates outside [-1, 1], which doubles as the clamp).
-    layer.levels.resize(layer.weights.size());
-    wq.to_levels(layer.weights.data(), layer.levels);
+    // The panel either backend's matmul packs per call, packed once here.
+    layer.panel = PackedPanel(layer.weights, wq);
     layers_.push_back(std::move(layer));
   }
 

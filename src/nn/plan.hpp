@@ -8,10 +8,11 @@
 //   * the ordered layer schedule with the fused activation epilogue per
 //     layer (hidden activation for k < depth-1, identity for the output —
 //     the LDSU firing pattern);
-//   * pre-packed weight panels: the double panel (the exact tier), the
-//     [-1, 1]-saturated PackedPanel the photonic tier streams, and the int8
-//     level panel the quantized tier streams through int8_gemm (the per-op
-//     matmul of either backend packs or quantizes a fresh one per call);
+//   * one level panel per layer: the GST level of every weight on the
+//     plan's grid, one byte per cell, packed once.  Both tiers stream it —
+//     the photonic tier decodes level · step in its kernel, the quantized
+//     tier multiplies the levels in int8_gemm — where the per-op matmul of
+//     either backend packs a fresh one per call;
 //   * arena extents, so a PlanArena sized once at adoption serves every
 //     later batch with zero steady-state heap allocation.
 //
@@ -40,17 +41,18 @@
 namespace trident::nn {
 
 struct PlanConfig {
-  /// Grid of the packed int8 level panel (must be 1..8).  The quantized
-  /// tier only takes its fused path when this matches its own weight grid;
-  /// otherwise it interprets the plan per-op (still bit-exact).
+  /// Grid of the level panels (must be 1..8).  Either tier takes its fused
+  /// path only when this matches its own weight grid; otherwise it
+  /// interprets the plan per-op (still bit-exact).
   int weight_bits = 8;
 };
 
-/// One compiled layer: the schedule entry plus every pre-packed panel.
+/// One compiled layer: the schedule entry, the weights and their levels.
 struct PlanLayer {
-  Matrix weights;                   ///< exact double panel (rows × cols)
-  PackedPanel packed;               ///< weights saturated and packed
-  std::vector<std::int8_t> levels;  ///< int8 level panel on the weight grid
+  /// Exact doubles (rows × cols): what the per-op interpreter and
+  /// FloatBackend multiply, and the programming key of the bank.
+  Matrix weights;
+  PackedPanel panel;  ///< level(weights) on the plan's grid
   Activation activation = Activation::kIdentity;  ///< fused epilogue
   std::size_t rows = 0;
   std::size_t cols = 0;

@@ -231,7 +231,7 @@ std::optional<std::future<Response>> Server::submit(
   const std::uint64_t index =
       submitted_.fetch_add(1, std::memory_order_relaxed);
   if (config_.admission_blip && config_.admission_blip(index)) {
-    blip_shed_.fetch_add(1, std::memory_order_relaxed);
+    unqueued_shed_.fetch_add(1, std::memory_order_relaxed);
     flight_observe_shed(next_id_.fetch_add(1, std::memory_order_relaxed),
                         tier);
     return std::nullopt;
@@ -256,7 +256,12 @@ std::optional<std::future<Response>> Server::submit(
   }
   std::future<Response> future = request.promise.get_future();
   const std::uint64_t shed_id = request.id;
-  if (queue_.push(request) != AdmitResult::kAccepted) {
+  const AdmitResult admit = queue_.push(request);
+  if (admit != AdmitResult::kAccepted) {
+    if (admit == AdmitResult::kClosed) {
+      // The queue books its own overload sheds; a closed queue counts none.
+      unqueued_shed_.fetch_add(1, std::memory_order_relaxed);
+    }
     flight_observe_shed(shed_id, tier);
     return std::nullopt;
   }
@@ -995,7 +1000,7 @@ ServerStats Server::stats() const {
   s.submitted = submitted_.load(std::memory_order_relaxed);
   s.rejected_inputs = rejected_inputs_.load(std::memory_order_relaxed);
   s.accepted = queue_.accepted();
-  s.shed = queue_.shed() + blip_shed_.load(std::memory_order_relaxed);
+  s.shed = queue_.shed() + unqueued_shed_.load(std::memory_order_relaxed);
   s.completed = completed_.load(std::memory_order_relaxed);
   s.failed = failed_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);

@@ -464,7 +464,9 @@ class Server {
   std::atomic<std::uint64_t> next_id_{0};
   std::atomic<std::uint64_t> rejected_inputs_{0};
   std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> blip_shed_{0};
+  /// Sheds the queue never saw: the admission blip, and a submit after
+  /// drain() closed the queue.
+  std::atomic<std::uint64_t> unqueued_shed_{0};
   std::atomic<std::uint64_t> completed_{0};
   std::atomic<std::uint64_t> failed_{0};
   std::atomic<std::uint64_t> batches_{0};

@@ -10,12 +10,25 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "common/quantize.hpp"
 #include "common/rng.hpp"
 
 namespace nn = trident::nn;
 using trident::Rng;
 
 namespace {
+
+/// The level panel holding `levels` (row-major rows × cols) on the 8-bit
+/// grid: each level's grid value packs back to the level itself.
+nn::PackedPanel panel_of(const std::vector<std::int8_t>& levels,
+                         std::size_t rows, std::size_t cols) {
+  const trident::SymmetricQuantizer grid(8);
+  nn::Matrix w(rows, cols);
+  for (std::size_t i = 0; i < levels.size(); ++i) {
+    w.data()[i] = grid.from_level(levels[i]);
+  }
+  return nn::PackedPanel(w, grid);
+}
 
 std::vector<std::int8_t> random_levels(std::size_t n, Rng& rng) {
   std::vector<std::int8_t> v(n);
@@ -71,10 +84,11 @@ TEST(Int8Gemm, MatchesScalarReferenceAcrossShapes) {
     const std::size_t rows = shape[0];
     const std::size_t cols = shape[1];
     const auto w = random_levels(rows * cols, rng);
+    const nn::PackedPanel panel = panel_of(w, rows, cols);
     for (std::size_t batch : batches) {
       const auto x = random_levels(batch * cols, rng);
       std::vector<std::int32_t> y(batch * rows, -1);
-      nn::int8_gemm(w.data(), rows, cols, x.data(), batch, y.data());
+      nn::int8_gemm(panel, x.data(), batch, y.data());
       EXPECT_EQ(y, reference_gemm(w, rows, cols, x, batch))
           << rows << "x" << cols << " batch " << batch;
     }
@@ -105,15 +119,16 @@ TEST(Int8Gemm, BatchedBitIdenticalToSingleSampleCalls) {
   const std::size_t rows = 24;
   const std::size_t cols = 100;
   const std::size_t batch = 37;
-  const auto w = random_levels(rows * cols, rng);
+  const nn::PackedPanel panel =
+      panel_of(random_levels(rows * cols, rng), rows, cols);
   const auto x = random_levels(batch * cols, rng);
 
   std::vector<std::int32_t> batched(batch * rows);
-  nn::int8_gemm(w.data(), rows, cols, x.data(), batch, batched.data());
+  nn::int8_gemm(panel, x.data(), batch, batched.data());
 
   for (std::size_t b = 0; b < batch; ++b) {
     std::vector<std::int32_t> single(rows);
-    nn::int8_gemm(w.data(), rows, cols, x.data() + b * cols, 1, single.data());
+    nn::int8_gemm(panel, x.data() + b * cols, 1, single.data());
     ASSERT_EQ(0, std::memcmp(single.data(), batched.data() + b * rows,
                              rows * sizeof(std::int32_t)))
         << "row " << b << " differs from its B=1 run";
@@ -126,28 +141,28 @@ TEST(Int8Gemm, ExtremeLevelsStayExactAtMaxSupportedFanIn) {
   // 8192 columns exercises every blocking path with the extreme values.)
   const std::size_t rows = 2;
   const std::size_t cols = 8192;
-  std::vector<std::int8_t> w(rows * cols, 127);
+  const nn::PackedPanel w =
+      panel_of(std::vector<std::int8_t>(rows * cols, 127), rows, cols);
   std::vector<std::int8_t> x(cols, 127);
   for (std::size_t c = 0; c < cols; c += 2) {
     x[c] = -127;  // alternate signs so both polarities hit the accumulator
   }
   std::vector<std::int32_t> y(rows);
-  nn::int8_gemm(w.data(), rows, cols, x.data(), 1, y.data());
+  nn::int8_gemm(w, x.data(), 1, y.data());
   EXPECT_EQ(y[0], 0);
   EXPECT_EQ(y[1], 0);
 
   std::fill(x.begin(), x.end(), static_cast<std::int8_t>(127));
-  nn::int8_gemm(w.data(), rows, cols, x.data(), 1, y.data());
+  nn::int8_gemm(w, x.data(), 1, y.data());
   EXPECT_EQ(y[0], static_cast<std::int32_t>(cols) * 127 * 127);
 }
 
 TEST(Int8Gemm, RejectsFanInBeyondOverflowHeadroom) {
-  std::vector<std::int8_t> w(nn::kInt8GemmMaxCols + 1, 0);
+  const nn::PackedPanel w(nn::Matrix(1, nn::kInt8GemmMaxCols + 1),
+                          trident::SymmetricQuantizer(8));
   std::vector<std::int8_t> x(nn::kInt8GemmMaxCols + 1, 0);
   std::int32_t y = 0;
-  EXPECT_THROW(
-      nn::int8_gemm(w.data(), 1, nn::kInt8GemmMaxCols + 1, x.data(), 1, &y),
-      trident::Error);
+  EXPECT_THROW(nn::int8_gemm(w, x.data(), 1, &y), trident::Error);
 }
 
 TEST(Int8Gemm, ReportsAnIsaTier) {

@@ -259,28 +259,46 @@ TEST(MatrixGemm, IntoVariantsReuseBuffers) {
 
 // --- packed photonic panel --------------------------------------------------
 
-TEST(PackedPanel, EveryTileAndRemainderBitIdenticalToSaturatedMatvec) {
-  // Rows cover a partial group, exact groups and leftover groups after the
-  // tallest tiles (70 = 8 + 1 groups, which also crosses the pool-dispatch
+TEST(PackedPanel, EveryTileAndRemainderBitIdenticalToLevelMatvec) {
+  // The panel holds level(w); the reference is Matrix::matvec on
+  // q(w) = grid.quantize(w), the value the bank holds.  Rows cover a
+  // partial group, exact groups and leftover groups after the tallest
+  // tiles (70 = 8 + 1 groups, which also crosses the pool-dispatch
   // threshold at B ≥ 32); fan-in covers 1, odd and past 256; B = 1..33
-  // covers every sample tile and remainder on every ISA tier.  The large
-  // shapes reach the row-group split of calls narrower than one 16-sample
-  // block (B = 1..15 and the one-sample tail of B = 17), with a partial
-  // last group in the last chunk; B = 16 and 32 run whole blocks.  Weights
-  // reach ±2, so the packing saturation is exercised; outputs compare
-  // with ==, not a tolerance.
+  // covers every sample tile, the full-block tile and every remainder on
+  // every ISA tier.  The large shapes reach the row-group split of calls
+  // narrower than one 16-sample block (B = 1..15 and the one-sample tail
+  // of B = 17), with a partial last group in the last chunk; B = 16 and 32
+  // run whole blocks.  Weights mix off-grid values up to ±2 (saturation),
+  // −0.0, exact half-LSB ties and on-grid values; outputs compare with ==,
+  // not a tolerance.
   Rng rng(0x9AC4u);
   auto check = [&rng](std::size_t rows, std::size_t cols,
-                      const std::vector<std::size_t>& batches) {
+                      const std::vector<std::size_t>& batches,
+                      const SymmetricQuantizer& grid) {
+    const int half = (grid.levels() - 1) / 2;
     Matrix w(rows, cols);
     for (double& v : w.data()) {
-      v = rng.uniform(-2.0, 2.0);
+      const int k = static_cast<int>(rng.uniform_int(-half, half - 1));
+      switch (rng.uniform_int(0, 3)) {
+        case 0:
+          v = -0.0;
+          break;
+        case 1:
+          v = (k + 0.5) * grid.step();  // a tie: rounds away from zero
+          break;
+        case 2:
+          v = grid.from_level(k);
+          break;
+        default:
+          v = rng.uniform(-2.0, 2.0);
+      }
     }
-    Matrix saturated = w;
-    for (double& v : saturated.data()) {
-      v = std::clamp(v, -1.0, 1.0);
+    Matrix held = w;
+    for (double& v : held.data()) {
+      v = grid.quantize(v);
     }
-    const PackedPanel panel(w);
+    const PackedPanel panel(w, grid);
     ASSERT_EQ(panel.rows(), rows);
     ASSERT_EQ(panel.cols(), cols);
     // Every batch is a prefix of one input, so each sample's reference
@@ -292,7 +310,7 @@ TEST(PackedPanel, EveryTileAndRemainderBitIdenticalToSaturatedMatvec) {
     for (std::size_t b = 0; b < most; ++b) {
       const auto row = x.row(b);
       std::copy(row.begin(), row.end(), xb.begin());
-      want[b] = saturated.matvec(xb);
+      want[b] = held.matvec(xb);
     }
     for (const std::size_t batch : batches) {
       Matrix xp(batch, cols);
@@ -301,18 +319,21 @@ TEST(PackedPanel, EveryTileAndRemainderBitIdenticalToSaturatedMatvec) {
       panel.matmul_into(xp, y);
       for (std::size_t b = 0; b < batch; ++b) {
         for (std::size_t r = 0; r < rows; ++r) {
-          ASSERT_EQ(y.at(b, r), want[b][r])
-              << rows << "x" << cols << " B=" << batch << " sample " << b
-              << " row " << r;
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(y.at(b, r)),
+                    std::bit_cast<std::uint64_t>(want[b][r]))
+              << grid.bits() << "-bit " << rows << "x" << cols
+              << " B=" << batch << " sample " << b << " row " << r;
         }
       }
     }
   };
   std::vector<std::size_t> every(33);
   std::iota(every.begin(), every.end(), std::size_t{1});
-  for (const std::size_t rows : {1u, 7u, 8u, 9u, 10u, 25u, 70u}) {
-    for (const std::size_t cols : {1u, 3u, 257u}) {
-      check(rows, cols, every);
+  for (const int bits : {8, 6}) {
+    for (const std::size_t rows : {1u, 7u, 8u, 9u, 10u, 25u, 70u}) {
+      for (const std::size_t cols : {1u, 3u, 257u}) {
+        check(rows, cols, every, SymmetricQuantizer(bits));
+      }
     }
   }
   std::vector<std::size_t> split(17);
@@ -320,9 +341,29 @@ TEST(PackedPanel, EveryTileAndRemainderBitIdenticalToSaturatedMatvec) {
   split.push_back(32);
   for (const std::size_t rows : {1016u, 1024u, 1025u}) {
     for (const std::size_t cols : {512u, 513u}) {
-      check(rows, cols, split);
+      check(rows, cols, split, SymmetricQuantizer(8));
     }
   }
+}
+
+TEST(PackedPanel, RepackingReusesStorageAndClearsThePaddingRows) {
+  // A per-op panel is re-packed for every call; a smaller matrix after a
+  // larger one must read level 0 in its padding rows, not stale levels.
+  const SymmetricQuantizer grid(8);
+  PackedPanel panel(Matrix(16, 5, 0.75), grid);
+  const std::int8_t* storage = panel.levels();
+  panel.pack(Matrix(3, 5, -0.25), grid);
+  EXPECT_EQ(panel.levels(), storage);
+  for (std::size_t c = 0; c < 5; ++c) {
+    for (std::size_t r = 0; r < 8; ++r) {
+      EXPECT_EQ(panel.levels()[c * 8 + r], r < 3 ? grid.to_level(-0.25) : 0)
+          << "row " << r << " column " << c;
+    }
+  }
+  Matrix y(1, 3);
+  panel.matmul_into(Matrix(1, 5, 1.0), y);
+  EXPECT_EQ(y.at(0, 0), Matrix(3, 5, grid.quantize(-0.25)).matvec(
+                            Vector(5, 1.0))[0]);
 }
 
 TEST(PackedPanel, OnlyLargeCallsNarrowerThanABlockSplit) {
@@ -341,7 +382,7 @@ TEST(PackedPanel, OnlyLargeCallsNarrowerThanABlockSplit) {
   telemetry::set_enabled(true);
   auto dispatches = [&](std::size_t rows, std::size_t cols,
                         std::size_t batch) {
-    const PackedPanel panel(Matrix(rows, cols));
+    const PackedPanel panel(Matrix(rows, cols), SymmetricQuantizer(8));
     Matrix y(batch, rows);
     const std::uint64_t before = dispatched.value();
     panel.matmul_into(Matrix(batch, cols), y);
@@ -356,7 +397,7 @@ TEST(PackedPanel, OnlyLargeCallsNarrowerThanABlockSplit) {
 }
 
 TEST(PackedPanel, ShapeMismatchThrows) {
-  const PackedPanel panel(Matrix(3, 4));
+  const PackedPanel panel(Matrix(3, 4), SymmetricQuantizer(8));
   Matrix y(2, 3);
   EXPECT_THROW(panel.matmul_into(Matrix(2, 5), y), Error);
   Matrix wrong(2, 4);
@@ -477,7 +518,9 @@ TEST(QuantizeKernels, DacMatchesLroundBitForBit) {
   // Row 0 stays in [-1, 1] (scale 1, so the probes themselves are
   // rounded); row 1 adds values beyond ±1 and NaN (a finite scale that a
   // NaN must not win); row 2 adds ±Inf (scale Inf, every level from
-  // Inf/Inf or x/Inf).
+  // Inf/Inf or x/Inf).  The unscaled kernels, to_levels and snap_to_grid
+  // (the weight panels), must round every row's raw values the same way:
+  // ties away from zero, −0.0 to level 0, NaN to 0, ±Inf saturated.
   for (const int bits : {4, 6, 8}) {
     const SymmetricQuantizer grid(bits, 1.0);
     const std::vector<double> in = in_range_probes(grid);
@@ -499,6 +542,10 @@ TEST(QuantizeKernels, DacMatchesLroundBitForBit) {
         Vector scale8(3);
         dac_quantize(x.data().data(), 3, cols, grid, scale8.data(),
                      levels.data());
+        std::vector<std::int8_t> raw_levels(x.size());
+        Vector raw(x.size());
+        to_levels(x.data().data(), x.size(), grid, raw_levels.data());
+        snap_to_grid(x.data().data(), x.size(), grid, raw.data());
         for (std::size_t b = 0; b < 3; ++b) {
           double s = 1.0;
           for (std::size_t c = 0; c < cols; ++c) {
@@ -513,6 +560,14 @@ TEST(QuantizeKernels, DacMatchesLroundBitForBit) {
                 << ", col " << c << ", x " << x.at(b, c);
             ASSERT_EQ(levels[b * cols + c],
                       static_cast<std::int8_t>(lround_level(v, grid)))
+                << bits << "-bit, width " << cols << ", row " << b
+                << ", col " << c << ", x " << x.at(b, c);
+            ASSERT_EQ(raw_levels[b * cols + c],
+                      static_cast<std::int8_t>(lround_level(x.at(b, c), grid)))
+                << bits << "-bit, width " << cols << ", row " << b
+                << ", col " << c << ", x " << x.at(b, c);
+            ASSERT_EQ(bits_of(raw[b * cols + c]),
+                      bits_of(lround_value(x.at(b, c), grid)))
                 << bits << "-bit, width " << cols << ", row " << b
                 << ", col " << c << ", x " << x.at(b, c);
           }

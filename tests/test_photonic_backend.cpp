@@ -37,9 +37,10 @@ TEST(PhotonicBackend, MatvecCloseToFloatWithinQuantization) {
   }
   const nn::Vector y = backend.matvec(w, x);
   const nn::Vector ref = w.matvec(x);
-  // Error bound: input quantization only (weights already in range get
-  // clamped, not re-quantized): per-term ≤ input LSB/2, summed over fan-in.
-  const double bound = 16.0 * (1.0 / 254.0) + 1e-9;
+  // Error bound: the bank holds level(w) and the DAC rounds x, each within
+  // half an LSB (1/254 at 8 bits), so with |w|, |x| ≤ 1 a term is off by at
+  // most |q(w)|·Δx + |x|·Δw ≤ 2/254, summed over the fan-in.
+  const double bound = 16.0 * (2.0 / 254.0) + 1e-9;
   for (std::size_t r = 0; r < y.size(); ++r) {
     EXPECT_NEAR(y[r], ref[r], bound);
   }
@@ -55,8 +56,10 @@ TEST(PhotonicBackend, MatvecTransposedCloseToFloat) {
   }
   const nn::Vector y = backend.matvec_transposed(w, x);
   const nn::Vector ref = w.matvec_transposed(x);
+  // Weight and input rounding, as in the forward: 2/254 per term over a
+  // fan-in of 6.
   for (std::size_t i = 0; i < y.size(); ++i) {
-    EXPECT_NEAR(y[i], ref[i], 6.0 * (1.0 / 254.0) + 1e-9);
+    EXPECT_NEAR(y[i], ref[i], 6.0 * (2.0 / 254.0) + 1e-9);
   }
 }
 

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <thread>
@@ -151,9 +153,11 @@ TEST(PlanBitIdentity, QuantizedBackendAcrossZooModels) {
 }
 
 TEST(PlanBitIdentity, FusedPathGridMismatchFallsBackAndStaysExact) {
-  // A 6-bit plan on an 8-bit QuantizedBackend has no fused path (the
-  // packed panel is on the wrong grid); Plan::run must interpret per-op —
-  // which re-packs on the backend's own grid — and stay bit-identical.
+  // A 6-bit plan on an 8-bit QuantizedBackend, and an 8-bit plan on a
+  // 6-bit PhotonicBackend, have no fused path (the level panels are on the
+  // wrong grid); Plan::run must interpret per-op — which re-packs on the
+  // backend's own grid — and stay bit-identical.  The weights are off
+  // both grids, so a fused run on the plan's panels would differ.
   Rng rng(0x51edu);
   const Mlp model({10, 20, 5}, Activation::kReLU, rng);
   const Matrix x = seeded_batch(4, 10, 0xABCDu);
@@ -161,6 +165,121 @@ TEST(PlanBitIdentity, FusedPathGridMismatchFallsBackAndStaysExact) {
   core::QuantizedBackend fused;
   expect_plan_bit_identity(model, legacy, fused, x, PlanConfig{6},
                            "grid-mismatch fallback");
+  core::PhotonicBackendConfig six;
+  six.weight_bits = 6;
+  core::PhotonicBackend legacy6(six);
+  core::PhotonicBackend fused6(six);
+  expect_plan_bit_identity(model, legacy6, fused6, x, PlanConfig{},
+                           "photonic grid-mismatch fallback");
+  EXPECT_EQ(fused6.ledger(), legacy6.ledger());
+}
+
+TEST(PlanBitIdentity, OffGridModelsPlanEqualsPerOp) {
+  // Freshly initialised weights lie off the grid; the bank holds their
+  // levels on every path.  Both tiers, every narrow batch, one full block
+  // with a tail and two blocks: the fused plan equals forward_batch bit
+  // for bit, draw for draw and pulse for pulse, and a batch equals its
+  // samples run one by one.
+  for (const std::vector<int>& sizes :
+       {std::vector<int>{512, 1024, 512, 10}, std::vector<int>{64, 128, 64, 10}}) {
+    Rng rng(0x0FF6u);
+    const Mlp model(sizes, Activation::kGstPhotonic, rng);
+    const auto width = static_cast<std::size_t>(sizes.front());
+    const Matrix all = seeded_batch(32, width, 0x6121u);
+    std::vector<std::size_t> batches(17);
+    std::iota(batches.begin(), batches.end(), std::size_t{1});
+    batches.push_back(32);
+    for (const std::size_t batch : batches) {
+      Matrix x(batch, width);
+      std::copy_n(all.data().begin(), batch * width, x.data().begin());
+      const std::string what = std::to_string(sizes[1]) + "-wide B=" +
+                               std::to_string(batch);
+      core::PhotonicBackendConfig bc;
+      bc.readout_noise = 0.05;
+      core::PhotonicBackend legacy(bc);
+      core::PhotonicBackend fused(bc);
+      expect_plan_bit_identity(model, legacy, fused, x, PlanConfig{},
+                               "photonic " + what);
+      EXPECT_EQ(fused.ledger(), legacy.ledger()) << what;
+      EXPECT_EQ(fused.rng_state(), legacy.rng_state()) << what;
+      core::QuantizedBackend qlegacy;
+      core::QuantizedBackend qfused;
+      expect_plan_bit_identity(model, qlegacy, qfused, x, PlanConfig{},
+                               "quantized " + what);
+      EXPECT_EQ(qfused.ledger(), qlegacy.ledger()) << what;
+    }
+    core::PhotonicBackend batched;
+    core::PhotonicBackend looped;
+    const Matrix want = model.forward_batch(all, batched).activations.back();
+    Vector xb(width);
+    for (std::size_t b = 0; b < all.rows(); ++b) {
+      const auto row = all.row(b);
+      std::copy(row.begin(), row.end(), xb.begin());
+      const Vector got = model.forward(xb, looped).activations.back();
+      for (std::size_t r = 0; r < got.size(); ++r) {
+        ASSERT_EQ(got[r], want.at(b, r)) << "sample " << b << " row " << r;
+      }
+    }
+  }
+}
+
+TEST(PlanBitIdentity, OnGridWeightsKeepTheSaturatedArithmetic) {
+  // Weights already on the 8-bit grid — what rank1_update_levels writes —
+  // give the saturated arithmetic the bank used before it held levels:
+  // Matrix::matvec on clamp(w) of the DAC'd input, re-scaled, through
+  // matvec, matmul and the fused plan alike.  A stored −0.0 reads as +0.0
+  // from the panel; a chain starting at +0.0 adds either to the same sum.
+  const SymmetricQuantizer grid(8);
+  Rng rng(0x06D1u);
+  Mlp model({12, 20, 9, 4}, Activation::kGstPhotonic, rng);
+  for (int k = 0; k < model.depth(); ++k) {
+    std::vector<double>& w = model.weight(k).data();
+    for (std::size_t i = 0; i < w.size(); ++i) {
+      w[i] = i % 7 == 0    ? -0.0
+             : i % 11 == 0 ? (i % 2 == 0 ? 1.0 : -1.0)
+                           : grid.quantize(w[i] * 4.0);
+    }
+  }
+  auto saturated = [&](const Vector& x) {
+    Vector cur = x;
+    for (int k = 0; k < model.depth(); ++k) {
+      Matrix clamped = model.weight(k);
+      for (double& v : clamped.data()) {
+        v = std::clamp(v, -1.0, 1.0);
+      }
+      double scale = 1.0;
+      Vector xq(cur.size());
+      dac_quantize(cur.data(), 1, cur.size(), grid, &scale, xq.data());
+      cur = clamped.matvec(xq);
+      for (double& v : cur) {
+        v *= scale;
+        if (k + 1 < model.depth()) {
+          v = apply_activation(model.hidden_activation(), v);
+        }
+      }
+    }
+    return cur;
+  };
+  const Matrix x = seeded_batch(17, 12, 0x06D2u);
+  core::PhotonicBackend per_sample;
+  core::PhotonicBackend batched;
+  core::PhotonicBackend fused;
+  const auto plan = ExecutionPlan::compile(model);
+  PlanArena arena;
+  const Matrix from_matmul = model.forward_batch(x, batched).activations.back();
+  const Matrix& from_plan = plan->run(fused, x, arena);
+  Vector xb(12);
+  for (std::size_t b = 0; b < x.rows(); ++b) {
+    const auto row = x.row(b);
+    std::copy(row.begin(), row.end(), xb.begin());
+    const Vector want = saturated(xb);
+    const Vector from_matvec = model.forward(xb, per_sample).activations.back();
+    for (std::size_t r = 0; r < want.size(); ++r) {
+      ASSERT_EQ(from_matvec[r], want[r]) << "matvec sample " << b;
+      ASSERT_EQ(from_matmul.at(b, r), want[r]) << "matmul sample " << b;
+      ASSERT_EQ(from_plan.at(b, r), want[r]) << "plan sample " << b;
+    }
+  }
 }
 
 // --- zero steady-state allocation -------------------------------------------

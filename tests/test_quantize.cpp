@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "nn/matrix.hpp"
 
 namespace trident {
 namespace {
@@ -191,7 +192,7 @@ TEST(BulkLevelConversion, Int8VariantMatchesWideVariantThroughEightBits) {
     std::vector<int> wide(xs.size());
     std::vector<std::int8_t> narrow(xs.size());
     q.to_levels(xs, std::span<int>(wide));
-    q.to_levels(xs, std::span<std::int8_t>(narrow));
+    nn::to_levels(xs.data(), xs.size(), q, narrow.data());
     std::vector<double> from_wide(xs.size()), from_narrow(xs.size());
     q.from_levels(std::span<const int>(wide), from_wide);
     q.from_levels(std::span<const std::int8_t>(narrow), from_narrow);
@@ -209,7 +210,7 @@ TEST(BulkLevelConversion, RejectsMismatchedSpansAndWideGridsOnInt8) {
   EXPECT_THROW(q8.to_levels(xs, std::span<int>(small)), Error);
   std::vector<std::int8_t> bytes(4);
   SymmetricQuantizer q9(9);  // 511 levels do not fit an int8
-  EXPECT_THROW(q9.to_levels(xs, std::span<std::int8_t>(bytes)), Error);
+  EXPECT_THROW(nn::to_levels(xs.data(), xs.size(), q9, bytes.data()), Error);
   std::vector<int> levels(5, 0);
   std::vector<double> out(4);
   EXPECT_THROW(q8.from_levels(std::span<const int>(levels), out), Error);

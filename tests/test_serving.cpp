@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "chaos/invariants.hpp"
 #include "common/error.hpp"
 #include "core/photonic_backend.hpp"
 #include "core/quantized_backend.hpp"
@@ -466,7 +467,12 @@ TEST(Server, SubmitAfterDrainIsShed) {
   Server server(test_model(), ServerConfig{});
   server.drain();
   EXPECT_FALSE(server.submit(nn::Vector(8, 0.5)).has_value());
-  EXPECT_EQ(server.stats().completed, 0u);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(stats.submitted, 1u);
+  EXPECT_EQ(stats.shed, 1u);
+  const chaos::InvariantReport books = chaos::check_server_conservation(stats);
+  EXPECT_TRUE(books.ok()) << books.to_string();
 }
 
 TEST(Server, RejectsWrongInputWidth) {
